@@ -1,5 +1,5 @@
 // Serving-layer benchmark (DESIGN.md §9): throughput scaling of the sharded
-// QueryService with shard/thread count, cache effectiveness, and the
+// QueryService with shard/thread count, served latency, and the
 // admission-control overload story. Writes BENCH_serve.json (parse-checked
 // by scripts/ci.sh bench-smoke via bench_json_check).
 //
@@ -34,7 +34,6 @@ struct ClosedLoopRow {
   std::size_t shards = 0;
   std::size_t threads = 0;
   serve::LoadTestReport report;
-  double hit_rate = 0.0;
 };
 
 std::vector<serve::SnapshotEntry> build_entries(bool tiny) {
@@ -75,11 +74,6 @@ ClosedLoopRow run_closed(const std::vector<serve::SnapshotEntry>& entries,
   row.threads = threads;
   row.report =
       serve::run_loadtest(service, load, threads > 1 ? &pool : nullptr);
-  const double lookups =
-      static_cast<double>(service.cache_hits() + service.cache_misses());
-  if (lookups > 0) {
-    row.hit_rate = static_cast<double>(service.cache_hits()) / lookups;
-  }
   return row;
 }
 
@@ -101,7 +95,7 @@ int main(int argc, char** argv) {
   // ---- closed loop: throughput vs shards and threads -----------------------
   bench::header("serve: closed-loop throughput (no metrics attached)");
   std::vector<ClosedLoopRow> rows;
-  util::Table table({"shards", "threads", "kqps", "hit rate", "checksum"});
+  util::Table table({"shards", "threads", "kqps", "checksum"});
   const std::vector<std::size_t> shard_counts = tiny
                                                     ? std::vector<std::size_t>{1, 4}
                                                     : std::vector<std::size_t>{1, 2, 4, 8};
@@ -123,7 +117,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(row.report.checksum));
       table.add_row({std::to_string(shards), std::to_string(threads),
                      util::fmt_double(row.report.achieved_qps / 1e3, 1),
-                     util::fmt_percent(row.hit_rate, 1), checksum});
+                     checksum});
       rows.push_back(std::move(row));
     }
   }
@@ -260,8 +254,7 @@ int main(int argc, char** argv) {
     out << "    {\"shards\": " << row.shards
         << ", \"threads\": " << row.threads
         << ", \"queries\": " << row.report.issued
-        << ", \"qps\": " << row.report.achieved_qps
-        << ", \"hit_rate\": " << row.hit_rate << ", \"checksum\": \""
+        << ", \"qps\": " << row.report.achieved_qps << ", \"checksum\": \""
         << std::hex << row.report.checksum << std::dec << "\"}"
         << (i + 1 < rows.size() ? ",\n" : "\n");
   }

@@ -773,19 +773,18 @@ int cmd_query(int argc, char** argv) {
     return write_obs_outputs(flags.obs, registry, recorder);
   }
 
-  // One batch, all kinds: the boxplot a consumer dashboard would render.
-  std::vector<serve::Query> batch;
+  // All kinds for one entry: the boxplot a consumer dashboard would render.
+  std::vector<serve::QueryResponse> responses;
   serve::Query q = query;
   q.kind = serve::QueryKind::kCount;
-  batch.push_back(q);
+  responses.push_back(service.query(q));
   q.kind = serve::QueryKind::kMean;
-  batch.push_back(q);
+  responses.push_back(service.query(q));
   for (const double pct : {5.0, 25.0, 50.0, 75.0, 95.0}) {
     q.kind = serve::QueryKind::kPercentile;
     q.param = pct;
-    batch.push_back(q);
+    responses.push_back(service.query(q));
   }
-  const auto responses = service.query_batch(batch);
   if (responses[0].status != serve::QueryStatus::kOk) {
     std::cerr << "no aggregate for {" << query.location.to_string() << ", "
               << query.game << "}\n";
@@ -903,9 +902,7 @@ int cmd_loadtest(int argc, char** argv) {
                    1)
             << ")\n";
   std::cout << "  wall " << util::fmt_double(report.wall_ms, 1) << " ms, "
-            << util::fmt_double(report.achieved_qps / 1e3, 1) << " kqps, "
-            << "cache hits " << service.cache_hits() << " / misses "
-            << service.cache_misses() << "\n";
+            << util::fmt_double(report.achieved_qps / 1e3, 1) << " kqps\n";
   std::cout << "  service latency p50/p95/p99: "
             << util::fmt_double(report.p50_ms * 1e3, 1) << " / "
             << util::fmt_double(report.p95_ms * 1e3, 1) << " / "

@@ -50,6 +50,12 @@
 #                bench/perf_baseline.txt (>15% throughput drop fails), and
 #                a TERO_SIMD=off full-OCR run that must reproduce the
 #                vectorized run's dataset digest exactly.
+#   perfbench    Outside-in benchmark self-test: builds perfbench/ (its own
+#                CMake project over src/) into .bench_build/ and runs
+#                perfbench/test_perfbench.py on the tiny mode of every
+#                BENCHMARK.json workload, so a serve or pipeline API change
+#                that breaks the benchmark's build or its output checks
+#                fails here rather than in the benchmark run.
 #
 # Run the default three:   scripts/ci.sh
 # Run a subset:            scripts/ci.sh asan tsan
@@ -60,6 +66,7 @@
 # Tiered-storage gate:     scripts/ci.sh tsdb-smoke
 # Overload-control gate:   scripts/ci.sh control-smoke
 # Extraction perf gate:    scripts/ci.sh perf-smoke
+# Benchmark self-test:     scripts/ci.sh perfbench
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -419,9 +426,10 @@ for job in "${jobs[@]}"; do
     tsdb-smoke) run_tsdb_smoke ;;
     control-smoke) run_control_smoke ;;
     perf-smoke) run_perf_smoke ;;
+    perfbench) python3 perfbench/test_perfbench.py ;;
     *) echo "unknown job: $job (want tier1, asan, tsan, bench-smoke," \
             "chaos-smoke, obs-smoke, cluster-smoke, tsdb-smoke," \
-            "control-smoke or perf-smoke)" >&2
+            "control-smoke, perf-smoke or perfbench)" >&2
        exit 2 ;;
   esac
 done

@@ -27,7 +27,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     reads_ = &registry.counter("tero.cluster.reads");
     stale_reads_ = &registry.counter("tero.cluster.stale_reads");
     unavailable_ = &registry.counter("tero.cluster.unavailable");
-    refused_ = &registry.counter("tero.cluster.refused");
     failovers_ = &registry.counter("tero.cluster.failovers");
     denied_ = serve::DeniedCounters(&registry);
     epoch_gauge_ = &registry.gauge("tero.cluster.epoch");
@@ -62,13 +61,6 @@ Cluster::Node Cluster::make_node(std::uint64_t uid) const {
     node.lag_gauge->set(0.0);
   }
   return node;
-}
-
-std::string Cluster::route_key(const serve::Query& query) {
-  // Mirrors QueryService::shard_key: every query about one {location, game}
-  // entry routes to that entry's owners; top-k is keyed by game alone.
-  if (query.kind == serve::QueryKind::kTopK) return "topk|" + query.game;
-  return serve::entry_key(query.location, query.game);
 }
 
 double Cluster::repl_delay_ms(const Node& node, std::uint64_t epoch) const {
@@ -173,7 +165,7 @@ RouteDecision Cluster::route(const serve::Query& query, std::uint64_t now_ms,
   }
 
   std::vector<std::string> owners =
-      ring_.nodes_for(route_key(query), config_.replicas);
+      ring_.nodes_for(serve::shard_key(query), config_.replicas);
   std::vector<std::size_t> order;
   order.reserve(owners.size());
   for (const std::string& owner : owners) order.push_back(index_of(owner));
@@ -229,7 +221,6 @@ RouteDecision Cluster::route(const serve::Query& query, std::uint64_t now_ms,
       if (node.applied == nullptr || lag > config_.staleness_budget) {
         // Bounded staleness: over-budget answers are refused, never
         // served. Not a node failure — the breaker stays untouched.
-        if (refused_ != nullptr) refused_->add();
         denied_.add(serve::DenyReason::kStale);
         continue;
       }
@@ -411,7 +402,7 @@ std::size_t Cluster::claimed_keys(std::size_t node_index) const {
 }
 
 std::vector<std::string> Cluster::owners_of(const serve::Query& query) const {
-  return ring_.nodes_for(route_key(query), config_.replicas);
+  return ring_.nodes_for(serve::shard_key(query), config_.replicas);
 }
 
 }  // namespace tero::cluster

@@ -217,7 +217,6 @@ class Cluster {
   /// Incremental hand-off: move exactly the keys `diff` says moved
   /// (join/leave path; audited against a full recompute by audit()).
   void shift_claims(const store::RemapDiff& diff);
-  [[nodiscard]] static std::string route_key(const serve::Query& query);
 
   ClusterConfig config_;
   store::ConsistentHashRing ring_;
@@ -232,10 +231,9 @@ class Cluster {
   obs::Counter* reads_ = nullptr;
   obs::Counter* stale_reads_ = nullptr;
   obs::Counter* unavailable_ = nullptr;
-  obs::Counter* refused_ = nullptr;    ///< over-budget staleness refusals
   obs::Counter* failovers_ = nullptr;  ///< non-first-choice attempts
-  /// Unified denial family: refused -> denied{reason=stale}, unavailable
-  /// -> denied{reason=unavailable} (the legacy counters stay as aliases).
+  /// Unified denial family: over-budget staleness refusals ->
+  /// denied{reason=stale}, no answering owner -> denied{reason=unavailable}.
   serve::DeniedCounters denied_;
   obs::Gauge* epoch_gauge_ = nullptr;
   obs::Gauge* nodes_gauge_ = nullptr;

@@ -242,8 +242,8 @@ class MetricsRegistry {
 
   /// Labeled one-shot conveniences: build the labeled name and update the
   /// metric in a single call. For cold and warm paths (publish events,
-  /// per-shard queue-depth gauges); true hot loops should still resolve the
-  /// metric pointer once and keep it.
+  /// admission retunes); true hot loops should still resolve the metric
+  /// pointer once and keep it.
   void add_counter(std::string_view name,
                    std::initializer_list<
                        std::pair<std::string_view, std::string_view>>

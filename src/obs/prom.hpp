@@ -19,8 +19,8 @@ class MetricsRegistry;
 /// `tero_cli obs report` jump from a p99 bucket to the span that filled it.
 
 /// A registry series name split into its base name and label pairs:
-/// "tero.serve.cache_hits{shard=3}" -> {"tero.serve.cache_hits", {{"shard",
-/// "3"}}}. Malformed label blocks are left un-split (the whole string stays
+/// "tero.serve.denied{reason=shed}" -> {"tero.serve.denied", {{"reason",
+/// "shed"}}}. Malformed label blocks are left un-split (the whole string stays
 /// in `name`), matching how the registry treats names as opaque keys.
 struct ParsedSeriesName {
   std::string name;

@@ -14,18 +14,20 @@ namespace tero::serve {
 /// keeps answering cheap questions while it is saturated.
 ///
 /// Determinism contract: what a level does to a query is a pure function of
-/// (query kind, level) — never of cache contents, shard health, or thread
-/// timing — so a sweep that replays the same (seed, level schedule) produces
-/// bit-identical outcomes at any thread count.
+/// (query kind, level) — never of shard health or thread timing — so a
+/// sweep that replays the same (seed, level schedule) produces bit-identical
+/// outcomes at any thread count.
 enum class BrownoutLevel : std::uint8_t {
   /// Normal operation: every kind served at full fidelity.
   kFull = 0,
-  /// Cheap-kinds-only: refuse the kinds that cannot amortize across callers
-  /// (ECDF point evaluations, range scans over history). Point percentiles,
-  /// means, counts and top-k — the dashboard staples — still serve.
+  /// Cheap-kinds-only: refuse the expensive kinds (ECDF evaluations over
+  /// the sorted samples, range scans over history). Point percentiles,
+  /// means, counts and top-k — the dashboard staples — still serve. The
+  /// rung keeps its name "cached-only", which decision logs print, though
+  /// the service keeps no response cache.
   kCachedOnly = 1,
-  /// Also snap percentile params to the coarse palette {50, 90, 99} (one
-  /// cache entry per entry key instead of seven) and refuse top-k scans.
+  /// Also snap percentile params to the coarse palette {50, 90, 99} (three
+  /// distinct answers per entry instead of seven) and refuse top-k scans.
   kCoarsePercentile = 2,
   /// Also prefer the previous epoch: answers carry STALE{age} markers and
   /// skip the fresh-epoch compute entirely. The staleness budget is wide

@@ -5,8 +5,7 @@
 namespace tero::serve {
 
 std::uint64_t EpochPublisher::publish(std::vector<SnapshotEntry> entries) {
-  const std::uint64_t epoch =
-      next_epoch_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t epoch = next_epoch();
   publish(std::make_shared<const Snapshot>(epoch, std::move(entries)));
   return epoch;
 }

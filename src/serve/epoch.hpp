@@ -45,6 +45,13 @@ class EpochPublisher {
     return published_epoch_.load(std::memory_order_acquire);
   }
 
+  /// Reserve the next epoch number for a snapshot the caller builds and
+  /// then installs with publish(SnapshotPtr). Every call returns a distinct
+  /// number.
+  [[nodiscard]] std::uint64_t next_epoch() noexcept {
+    return next_epoch_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// Build a snapshot from `entries` under the next epoch number and install
   /// it. Returns the new epoch. Publishers may race; each gets a distinct
   /// epoch but only the last installer wins the pointer (see publish()).

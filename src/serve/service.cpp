@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstdlib>
 
 #include "fault/fault.hpp"
@@ -15,13 +14,6 @@
 namespace tero::serve {
 
 namespace {
-
-/// Canonical double formatting for cache keys: round-trippable and stable.
-std::string fmt_param(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 std::uint64_t hash_double(double value) {
   return std::bit_cast<std::uint64_t>(value);
@@ -84,8 +76,8 @@ std::uint64_t hash_response(std::uint64_t index,
   std::uint64_t h = util::mix_seed(index, static_cast<std::uint64_t>(
                                               response.status));
   h = util::mix_seed(h, hash_double(response.value));
-  // Staleness is part of the answer's meaning (a degraded STALE{age} reply
-  // is not the same result as a fresh one), unlike the `cached` timing bit.
+  // Staleness is part of the answer's meaning: a degraded STALE{age} reply
+  // is not the same result as a fresh one.
   h = util::mix_seed(h, (response.stale ? 1ULL : 0ULL) +
                             (response.stale_age << 1));
   for (const auto& top : response.top) {
@@ -107,59 +99,47 @@ QueryService::QueryService(ServeConfig config)
       ring_(config.ring_virtual_nodes),
       start_(std::chrono::steady_clock::now()) {
   const std::size_t shard_count = std::max<std::size_t>(1, config_.shards);
-  shard_names_.reserve(shard_count);
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shard_names_.push_back("shard-" + std::to_string(i));
-    ring_.add_node(shard_names_.back());
-    shards_.push_back(std::make_unique<Shard>(config_.cache_capacity));
-  }
-  if (config_.injector != nullptr) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      shards_[i]->fault_point =
-          &config_.injector->point("serve." + shard_names_[i]);
-      shards_[i]->breaker = std::make_unique<fault::CircuitBreaker>(
-          config_.breaker, fault::CircuitBreaker::state_gauge(
-                               config_.metrics, shard_names_[i]));
+    const std::string name = "shard-" + std::to_string(i);
+    ring_.add_node(name);
+    auto shard = std::make_unique<Shard>();
+    if (config_.injector != nullptr) {
+      shard->fault_point = &config_.injector->point("serve." + name);
+      shard->breaker = std::make_unique<fault::CircuitBreaker>(
+          config_.breaker,
+          fault::CircuitBreaker::state_gauge(config_.metrics, name));
     }
+    if (config_.metrics != nullptr) {
+      shard->queue_depth =
+          &config_.metrics->gauge(obs::MetricsRegistry::labeled(
+              "tero.serve.shard_queue_depth", {{"shard", name}}));
+    }
+    shards_.push_back(std::move(shard));
   }
   if (config_.metrics != nullptr) {
     auto& registry = *config_.metrics;
     queries_total_ = &registry.counter("tero.serve.queries");
-    hits_counter_ = &registry.counter("tero.serve.cache_hits");
-    misses_counter_ = &registry.counter("tero.serve.cache_misses");
-    shed_counter_ = &registry.counter("tero.serve.shed");
     not_found_counter_ = &registry.counter("tero.serve.not_found");
     degraded_counter_ = &registry.counter("tero.serve.degraded");
-    unavailable_counter_ = &registry.counter("tero.serve.unavailable");
     denied_ = DeniedCounters(&registry);
     registry.set_gauge("tero.serve.brownout_level", {}, 0.0);
     query_ms_ = &registry.histogram("tero.serve.query_ms");
     if (config_.exemplar_seed != 0) {
       query_ms_->enable_exemplars(config_.exemplar_seed);
     }
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      shards_[i]->hits_counter = &registry.counter(obs::MetricsRegistry::
-          labeled("tero.serve.cache_hits", {{"shard", shard_names_[i]}}));
-      shards_[i]->misses_counter = &registry.counter(obs::MetricsRegistry::
-          labeled("tero.serve.cache_misses", {{"shard", shard_names_[i]}}));
-    }
-  }
-}
-
-void QueryService::invalidate_caches() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->folded_hits += shard->cache.hits();
-    shard->folded_misses += shard->cache.misses();
-    shard->folded_evictions += shard->cache.evictions();
-    shard->cache.reset_stats();
-    shard->cache.clear();
   }
 }
 
 std::uint64_t QueryService::publish(std::vector<SnapshotEntry> entries) {
+  const std::uint64_t epoch = publisher_.next_epoch();
+  publish(std::make_shared<const Snapshot>(epoch, std::move(entries)));
+  return epoch;
+}
+
+void QueryService::publish(SnapshotPtr snapshot) {
   const obs::ScopedSpan span(config_.trace, "serve.publish", "serve");
+  const std::uint64_t epoch = snapshot != nullptr ? snapshot->epoch() : 0;
   {
     // The outgoing epoch becomes the degraded path's "last good" snapshot.
     SnapshotPtr outgoing = publisher_.current();
@@ -168,83 +148,18 @@ std::uint64_t QueryService::publish(std::vector<SnapshotEntry> entries) {
       previous_ = std::move(outgoing);
     }
   }
-  const std::uint64_t epoch = publisher_.publish(std::move(entries));
+  publisher_.publish(std::move(snapshot));
   publishes_.fetch_add(1, std::memory_order_relaxed);
-  invalidate_caches();
   if (config_.metrics != nullptr) {
     config_.metrics->counter("tero.serve.publishes").add();
     config_.metrics->set_gauge("tero.serve.epoch", {},
                                static_cast<double>(epoch));
   }
-  return epoch;
 }
 
-void QueryService::publish(SnapshotPtr snapshot) {
-  const obs::ScopedSpan span(config_.trace, "serve.publish", "serve");
-  {
-    SnapshotPtr outgoing = publisher_.current();
-    if (outgoing != nullptr) {
-      std::lock_guard<std::mutex> lock(previous_mutex_);
-      previous_ = std::move(outgoing);
-    }
-  }
-  publisher_.publish(std::move(snapshot));
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  invalidate_caches();
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("tero.serve.publishes").add();
-    config_.metrics->set_gauge("tero.serve.epoch", {},
-                               static_cast<double>(publisher_.epoch()));
-  }
-}
-
-std::string QueryService::shard_key(const Query& query) {
-  // All queries about one {location, game} entry land on one shard, so its
-  // cache lines and LRU entries stay local; top-k is keyed by game alone.
+std::string shard_key(const Query& query) {
   if (query.kind == QueryKind::kTopK) return "topk|" + query.game;
   return entry_key(query.location, query.game);
-}
-
-std::string QueryService::cache_key(const Query& query) const {
-  std::string key;
-  switch (query.kind) {
-    case QueryKind::kPercentile: key = "pct:"; break;
-    case QueryKind::kMean: key = "mean:"; break;
-    case QueryKind::kCount: key = "count:"; break;
-    case QueryKind::kEcdf: key = "ecdf:"; break;
-    case QueryKind::kTopK: key = "topk:"; break;
-    case QueryKind::kRangeCount: key = "rcount:"; break;
-    case QueryKind::kRangeMean: key = "rmean:"; break;
-    case QueryKind::kRangePercentile: key = "rpct:"; break;
-    case QueryKind::kRangeDrift: key = "rdrift:"; break;
-  }
-  if (query.kind == QueryKind::kPercentile ||
-      query.kind == QueryKind::kEcdf ||
-      query.kind == QueryKind::kRangePercentile ||
-      query.kind == QueryKind::kRangeDrift) {
-    key += fmt_param(query.param);
-    key += ':';
-  }
-  if (query.kind == QueryKind::kTopK) {
-    key += std::to_string(query.k);
-    key += ':';
-  }
-  if (is_range_kind(query.kind)) {
-    // The store version pins the cached answer to the exact data it
-    // summarized: any append/seal/compact/retention mints new keys and the
-    // stale entries age out of the LRU.
-    key += std::to_string(query.t0_ms);
-    key += ':';
-    key += std::to_string(query.t1_ms);
-    key += ':';
-    key += std::to_string(query.window_ms);
-    key += ":v";
-    key += std::to_string(config_.tsdb != nullptr ? config_.tsdb->version()
-                                                  : 0);
-    key += ':';
-  }
-  key += shard_key(query);
-  return key;
 }
 
 std::size_t QueryService::shard_for(const Query& query) const {
@@ -361,10 +276,7 @@ QueryResponse QueryService::compute(const Query& query,
 bool QueryService::try_admit(double now_s) {
   const bool admitted =
       admission_.try_admit(now_s >= 0.0 ? now_s : wall_now_s());
-  if (!admitted) {
-    if (shed_counter_ != nullptr) shed_counter_->add();
-    denied_.add(DenyReason::kShed);
-  }
+  if (!admitted) denied_.add(DenyReason::kShed);
   return admitted;
 }
 
@@ -407,7 +319,7 @@ QueryResponse QueryService::query(const Query& query, double now_s) {
     response.status = QueryStatus::kShed;
     return response;
   }
-  return query_admitted(query);
+  return query_admitted(query, now_s);
 }
 
 QueryResponse QueryService::degraded(const Query& query,
@@ -420,7 +332,6 @@ QueryResponse QueryService::degraded(const Query& query,
   if (last_good == nullptr) {
     // Range kinds always land here: history has no stale epoch to fall
     // back on — a downed shard makes them explicitly unavailable.
-    if (unavailable_counter_ != nullptr) unavailable_counter_->add();
     denied_.add(DenyReason::kUnavailable);
     QueryResponse response;
     response.status = QueryStatus::kUnavailable;
@@ -444,8 +355,8 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
   if (queries_total_ != nullptr) queries_total_->add();
 
   // Brownout front door (DESIGN.md §16): a pure function of (kind, level),
-  // evaluated before any shard or cache state so the outcome is the same on
-  // every replica. Refused kinds answer kBrownout — a denial, but a cheap
+  // evaluated before any shard state so the outcome is the same on every
+  // replica. Refused kinds answer kBrownout — a denial, but a cheap
   // and explicit one, taken *before* the admission controller would shed.
   const BrownoutLevel level = brownout();
   BrownoutAction action;
@@ -484,8 +395,7 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
     if (has_previous) return degraded(effective, epoch);
   }
 
-  const std::size_t shard_index = shard_for(effective);
-  Shard& shard = *shards_[shard_index];
+  Shard& shard = *shards_[shard_for(effective)];
 
   if (shard.fault_point != nullptr) {
     const double now = now_s >= 0.0 ? now_s : wall_now_s();
@@ -502,73 +412,21 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
     }
     shard.breaker->on_success();
   }
-  const std::size_t depth =
+  const std::uint64_t depth =
       shard.inflight.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.metrics != nullptr) {
-    config_.metrics->set_gauge("tero.serve.shard_queue_depth",
-                               {{"shard", shard_names_[shard_index]}},
-                               static_cast<double>(depth));
+  if (shard.queue_depth != nullptr) {
+    shard.queue_depth->set(static_cast<double>(depth));
   }
-
-  const std::string key = cache_key(effective);
-  QueryResponse response;
-  bool from_cache = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto cached = shard.cache.get(key); cached.has_value()) {
-      response = std::move(*cached);
-      from_cache = true;
-    }
+  // Snapshots are immutable, so the answer is a pure function of the
+  // (query, epoch) pair this reader loaded — a publish that raced it
+  // cannot change the bits.
+  QueryResponse response = compute(effective, snapshot.get());
+  if (response.status == QueryStatus::kNotFound &&
+      not_found_counter_ != nullptr) {
+    not_found_counter_->add();
   }
-  if (from_cache) {
-    // A publish may have cleared the caches after we loaded the snapshot;
-    // either way the cached value was computed from *some* published epoch
-    // and epochs are immutable, so it is never stale within its epoch.
-    response.cached = true;
-    if (hits_counter_ != nullptr) hits_counter_->add();
-    if (shard.hits_counter != nullptr) shard.hits_counter->add();
-  } else {
-    response = compute(effective, snapshot.get());
-    if (misses_counter_ != nullptr) misses_counter_->add();
-    if (shard.misses_counter != nullptr) shard.misses_counter->add();
-    if (response.status == QueryStatus::kNotFound &&
-        not_found_counter_ != nullptr) {
-      not_found_counter_->add();
-    }
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.cache.put(key, response);
-  }
-
   shard.inflight.fetch_sub(1, std::memory_order_relaxed);
   return response;
-}
-
-std::vector<QueryResponse> QueryService::query_batch(
-    std::span<const Query> queries, double now_s) {
-  std::vector<QueryResponse> responses;
-  responses.reserve(queries.size());
-  for (const Query& query : queries) {
-    responses.push_back(this->query(query, now_s));
-  }
-  return responses;
-}
-
-std::uint64_t QueryService::cache_hits() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->folded_hits + shard->cache.hits();
-  }
-  return total;
-}
-
-std::uint64_t QueryService::cache_misses() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->folded_misses + shard->cache.misses();
-  }
-  return total;
 }
 
 std::uint64_t QueryService::shed_count() const { return admission_.shed(); }

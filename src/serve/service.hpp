@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "fault/policy.hpp"
 #include "serve/admission.hpp"
 #include "serve/epoch.hpp"
-#include "serve/lru_cache.hpp"
 #include "serve/snapshot.hpp"
 #include "store/consistent_hash.hpp"
 #include "tsdb/store.hpp"
@@ -28,6 +26,7 @@ namespace tero::obs {
 class MetricsRegistry;
 class TraceRecorder;
 class Counter;
+class Gauge;
 class Histogram;
 }  // namespace tero::obs
 
@@ -36,7 +35,7 @@ namespace tero::serve {
 /// What a consumer can ask the serving layer (DESIGN.md §9). All kinds are
 /// pure functions of (query, snapshot), which is the determinism anchor for
 /// the load generator: the same query against the same epoch always returns
-/// the same bits, no matter which shard, thread, or cache served it.
+/// the same bits, no matter which shard or thread served it.
 enum class QueryKind {
   kPercentile,  ///< param = percentile in [0, 100]
   kMean,
@@ -94,8 +93,6 @@ enum class BrownoutLevel : std::uint8_t;
 /// Unified denial accounting (DESIGN.md §16): every request the system turns
 /// away increments `tero.serve.denied{reason=...}` with one of these labels,
 /// so SLO specs and the overload controller read a single series family.
-/// The legacy names (tero.serve.shed, tero.serve.unavailable,
-/// tero.cluster.refused, ...) still tick as aliases for one release.
 enum class DenyReason : std::uint8_t {
   kShed,         ///< admission control rejected (token bucket empty)
   kStale,        ///< bounded-staleness refusal (over the staleness budget)
@@ -129,7 +126,6 @@ struct QueryResponse {
   QueryStatus status = QueryStatus::kNoSnapshot;
   double value = 0.0;
   std::uint64_t epoch = 0;
-  bool cached = false;
   /// Degraded-mode marker (DESIGN.md §11): the owning shard was unavailable
   /// and this answer came from the last good snapshot instead of the
   /// current epoch — explicitly STALE{age}, never silently wrong.
@@ -140,26 +136,28 @@ struct QueryResponse {
 };
 
 /// Order- and thread-independent fingerprint of one (query index, response)
-/// pair; the load generator XOR-folds these into its result checksum. Timing
-/// artifacts (`cached`) are deliberately excluded.
+/// pair; the load generator XOR-folds these into its result checksum.
 [[nodiscard]] std::uint64_t hash_response(std::uint64_t index,
                                           const QueryResponse& response);
 
 /// Pure query evaluation against one immutable snapshot — the kernel behind
 /// QueryService's read path, exposed so other serving layers (the cluster's
 /// replicated reads) can answer from whichever epoch their routing picked.
-/// No caches, no metrics, no staleness markers: status/value/epoch/top only.
+/// No metrics, no staleness markers: status/value/epoch/top only.
 [[nodiscard]] QueryResponse answer(const Query& query,
                                    const Snapshot& snapshot);
 
+/// Placement key of `query` on a consistent-hash ring: every query about one
+/// {location, game} entry maps to that entry's key, top-k to its game alone.
+/// QueryService picks shards and cluster::Cluster picks owner nodes with it.
+[[nodiscard]] std::string shard_key(const Query& query);
+
 struct ServeConfig {
-  /// Number of shards; each owns an LRU cache behind its own mutex. Keys
-  /// are placed by store::ConsistentHashRing, so resizing a live fleet
-  /// would only remap ~1/n of the keyspace.
+  /// Number of shards, each with its own fault point, circuit breaker and
+  /// queue-depth gauge. Keys are placed by store::ConsistentHashRing, so
+  /// resizing a live fleet would only remap ~1/n of the keyspace.
   std::size_t shards = 4;
   int ring_virtual_nodes = 64;
-  /// Per-shard response-cache capacity; 0 disables caching.
-  std::size_t cache_capacity = 1024;
   /// Admission control (token bucket over all shards); <= 0 disables it
   /// and the service never sheds.
   double admission_rate_qps = 0.0;
@@ -173,9 +171,8 @@ struct ServeConfig {
   /// min-wise reservoir (see obs::Histogram::record). Requires metrics.
   std::uint64_t exemplar_seed = 0;
   /// Historical store answering the range query kinds (not owned; may be
-  /// null, in which case range queries return kUnavailable). Range answers
-  /// are cached in the per-shard LRU under a key that folds the store's
-  /// version counter, so a cached answer never outlives the data.
+  /// null, in which case range queries return kUnavailable). Every range
+  /// query reads the store afresh, so it always sees the latest appends.
   tsdb::TimeSeriesStore* tsdb = nullptr;
   /// Optional fault injection (not owned; may be null). Arms one
   /// "serve.shard-<i>" point per shard: an injected error marks the shard
@@ -188,18 +185,20 @@ struct ServeConfig {
 
 /// Sharded in-process query service over published snapshots.
 ///
-/// Read path: admission -> atomic snapshot load -> shard (consistent hash
-/// of the entry key) -> shard LRU cache -> snapshot index. Publish path:
-/// build entries off to the side, one atomic swap, then invalidate the
-/// shard caches. Readers never block on a publish: a query that raced the
-/// swap simply finishes against the epoch it loaded.
+/// Read path: admission -> brownout -> atomic snapshot load -> shard
+/// (consistent hash of shard_key(): fault point, breaker, in-flight
+/// accounting) -> snapshot index or time-series store. Publish path: the
+/// current epoch becomes the degraded path's previous one, then one atomic
+/// swap installs the new snapshot. Readers never block on a publish: a
+/// query that raced the swap simply finishes against the epoch it loaded.
 class QueryService {
  public:
   explicit QueryService(ServeConfig config);
 
-  /// Install a new snapshot and invalidate every shard cache. Returns the
-  /// published epoch.
+  /// Build a snapshot from `entries` under the next epoch number and
+  /// install it. Returns the published epoch.
   std::uint64_t publish(std::vector<SnapshotEntry> entries);
+  /// Install an externally built snapshot under its own epoch.
   void publish(SnapshotPtr snapshot);
 
   [[nodiscard]] SnapshotPtr snapshot() const { return publisher_.current(); }
@@ -207,15 +206,15 @@ class QueryService {
     return publisher_.epoch();
   }
 
-  /// Answer one query. `now_s` feeds admission control: pass a virtual
-  /// arrival time for deterministic replay, or leave negative to use wall
-  /// time since service construction.
+  /// Answer one query. `now_s` feeds admission control and the shard
+  /// circuit breakers: pass a virtual arrival time for deterministic
+  /// replay, or leave negative to use wall time since service construction.
   [[nodiscard]] QueryResponse query(const Query& query, double now_s = -1.0);
 
   /// Admission-control front door, exposed so the open-loop load generator
   /// can take shed decisions serially in arrival order (the determinism
   /// requirement) before fanning admitted queries out to a pool. Counts
-  /// sheds in the metrics registry.
+  /// sheds as tero.serve.denied{reason=shed}.
   bool try_admit(double now_s = -1.0);
 
   /// Answer a query that has already passed admission (or for which
@@ -224,11 +223,6 @@ class QueryService {
   /// time for deterministic replay; negative = wall time).
   [[nodiscard]] QueryResponse query_admitted(const Query& query,
                                              double now_s = -1.0);
-
-  /// Batch point lookup; one admission charge per query, shared snapshot
-  /// load (all answers come from the same epoch).
-  [[nodiscard]] std::vector<QueryResponse> query_batch(
-      std::span<const Query> queries, double now_s = -1.0);
 
   /// Retune the admission token bucket mid-run (the overload controller's
   /// actuation path; see AdmissionController::set_rate for the
@@ -255,9 +249,10 @@ class QueryService {
     return shards_.size();
   }
 
-  // Aggregate cache/admission accounting across shards (tests, reports).
-  [[nodiscard]] std::uint64_t cache_hits() const;
-  [[nodiscard]] std::uint64_t cache_misses() const;
+  /// Always 0: the service keeps no response cache. Kept only because the
+  /// perfbench driver still reads them for its serve.cache_hit_frac metric.
+  [[nodiscard]] std::uint64_t cache_hits() const noexcept { return 0; }
+  [[nodiscard]] std::uint64_t cache_misses() const noexcept { return 0; }
   [[nodiscard]] std::uint64_t shed_count() const;
   [[nodiscard]] std::uint64_t publish_count() const noexcept {
     return publishes_.load(std::memory_order_relaxed);
@@ -273,32 +268,17 @@ class QueryService {
 
  private:
   struct Shard {
-    mutable std::mutex mutex;
-    LruCache<QueryResponse> cache;
     /// Queries currently inside this shard (admitted, not yet answered) —
-    /// exported as the per-shard queue-depth gauge.
+    /// exported through `queue_depth`, the shard's
+    /// tero.serve.shard_queue_depth{shard=shard-i} gauge, resolved once at
+    /// construction (null when metrics are off).
     std::atomic<std::uint64_t> inflight{0};
-    /// Cache stats folded in from epochs the publish path already cleared
-    /// (guarded by `mutex`): cache.hits()/misses() only cover the current
-    /// epoch, lifetime totals are folded + current.
-    std::uint64_t folded_hits = 0;
-    std::uint64_t folded_misses = 0;
-    std::uint64_t folded_evictions = 0;
-    /// Per-shard labeled counters (null when metrics are off):
-    /// tero.serve.cache_hits{shard=shard-i} and the matching misses.
-    obs::Counter* hits_counter = nullptr;
-    obs::Counter* misses_counter = nullptr;
+    obs::Gauge* queue_depth = nullptr;
     /// Fault-injection hook ("serve.shard-<i>"; null = healthy shard) and
     /// the circuit breaker guarding it (null when injection is off).
     fault::FaultPoint* fault_point = nullptr;
     std::unique_ptr<fault::CircuitBreaker> breaker;
-
-    explicit Shard(std::size_t cache_capacity) : cache(cache_capacity) {}
   };
-
-  /// Publish-path cache invalidation: folds each shard's per-epoch cache
-  /// stats into its lifetime totals, then clears entries and stats.
-  void invalidate_caches();
 
   /// `snapshot` may be null only for range kinds, which answer from the
   /// time-series store instead.
@@ -308,13 +288,10 @@ class QueryService {
   /// when the tsdb.read fault point fires).
   [[nodiscard]] QueryResponse answer_range(const Query& query) const;
   /// Degraded path: answer from the last good snapshot with a STALE{age}
-  /// marker, or kUnavailable when there is none. Never cached. Range kinds
-  /// have no stale snapshot to fall back on: always kUnavailable.
+  /// marker, or kUnavailable when there is none. Range kinds have no stale
+  /// snapshot to fall back on: always kUnavailable.
   [[nodiscard]] QueryResponse degraded(const Query& query,
                                        std::uint64_t current_epoch);
-  /// Non-static: range keys fold the tsdb version counter.
-  [[nodiscard]] std::string cache_key(const Query& query) const;
-  [[nodiscard]] static std::string shard_key(const Query& query);
   [[nodiscard]] double wall_now_s() const;
 
   ServeConfig config_;
@@ -329,19 +306,14 @@ class QueryService {
   SnapshotPtr previous_;
   AdmissionController admission_;
   store::ConsistentHashRing ring_;
-  std::vector<std::string> shard_names_;  ///< shard_names_[i] == "shard-i"
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> publishes_{0};
   std::chrono::steady_clock::time_point start_;
 
   // Hot-path metric handles, resolved once (null when metrics are off).
   obs::Counter* queries_total_ = nullptr;
-  obs::Counter* hits_counter_ = nullptr;
-  obs::Counter* misses_counter_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
   obs::Counter* not_found_counter_ = nullptr;
   obs::Counter* degraded_counter_ = nullptr;
-  obs::Counter* unavailable_counter_ = nullptr;
   DeniedCounters denied_;
   obs::Histogram* query_ms_ = nullptr;
 };

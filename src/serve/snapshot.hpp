@@ -30,7 +30,7 @@ namespace tero::serve {
 struct SnapshotEntry {
   geo::Location location;
   std::string game;
-  /// Canonical lookup / shard / cache key: "game|country|region|city".
+  /// Canonical lookup / shard key: "game|country|region|city".
   std::string key;
 
   std::size_t streamers = 0;

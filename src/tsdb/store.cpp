@@ -273,7 +273,6 @@ void TimeSeriesStore::append(std::string_view key, std::int64_t t_ms,
   }
   it->second.push_back({t_ms, value});
   ++head_samples_;
-  ++version_;
   if (appends_ != nullptr) appends_->add();
   if (head_samples_gauge_ != nullptr) {
     head_samples_gauge_->set(static_cast<double>(head_samples_));
@@ -329,7 +328,6 @@ void TimeSeriesStore::seal_locked(std::int64_t boundary) {
     if (seals_ != nullptr) seals_->add();
   }
   sealed_until_ = boundary;
-  ++version_;
 }
 
 void TimeSeriesStore::compact_locked() {
@@ -396,7 +394,6 @@ void TimeSeriesStore::compact_locked() {
       }
       segments_.push_back(outputs[i]);
       progressed = true;
-      ++version_;
       if (compactions_ != nullptr) compactions_->add();
     }
     std::sort(segments_.begin(), segments_.end(),
@@ -414,7 +411,6 @@ void TimeSeriesStore::retain_locked(std::int64_t frontier) {
     if ((*it)->max_t < horizon) {
       doomed_files_.push_back(segment_path((*it)->id));
       it = segments_.erase(it);
-      ++version_;
       if (retention_drops_ != nullptr) retention_drops_->add();
     } else {
       ++it;
@@ -574,11 +570,6 @@ double TimeSeriesStore::drift(std::string_view key, std::int64_t now_ms,
 }
 
 // -- introspection ------------------------------------------------------------
-
-std::uint64_t TimeSeriesStore::version() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return version_;
-}
 
 std::int64_t TimeSeriesStore::sealed_until() const {
   const std::lock_guard<std::mutex> lock(mutex_);

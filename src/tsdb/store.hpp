@@ -121,11 +121,6 @@ class TimeSeriesStore {
 
   static constexpr std::int64_t kMaxWindows = 1 << 16;
 
-  /// Generation counter, bumped by every mutation (append/seal/compact/
-  /// retention) — serve folds it into range cache keys so cached answers
-  /// never outlive the data they summarize.
-  [[nodiscard]] std::uint64_t version() const;
-
   /// Everything before this virtual time lives in immutable segments.
   [[nodiscard]] std::int64_t sealed_until() const;
 
@@ -185,7 +180,6 @@ class TimeSeriesStore {
   std::vector<std::shared_ptr<const Segment>> segments_;
   std::int64_t sealed_until_ = 0;
   std::uint64_t next_id_ = 1;
-  std::uint64_t version_ = 0;
   std::ofstream wal_;
   /// Files dropped by compaction/retention this advance; unlinked only
   /// after the manifest stops referencing them (crash-ordering invariant).

@@ -604,4 +604,30 @@ TEST(ServeChaos, BreakerOpensSkipsFaultPointThenRecovers) {
   EXPECT_FALSE(recovered.stale);
 }
 
+TEST(ServeChaos, QueryRunsTheBreakerOnTheCallersClock) {
+  // query(q, now_s) must hand its virtual time to the shard breaker, not
+  // just to admission: replayed at t = 40 s, the open breaker's cool-down
+  // has passed and the call is a (fresh) half-open probe, however little
+  // wall time the test took.
+  const auto entries = sample_entries();
+  ASSERT_FALSE(entries.empty());
+  fault::FaultInjector injector(
+      fault::FaultPlan::parse("serve.shard-0=error@1:max=5"));
+  serve::QueryService service(one_shard(&injector));
+  service.publish(entries);
+  service.publish(entries);
+  serve::Query query;
+  query.kind = serve::QueryKind::kCount;
+  query.location = entries[0].location;
+  query.game = entries[0].game;
+
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(service.query(query, 0.1 * i).stale);
+  }
+  EXPECT_EQ(service.breaker_state(0), fault::CircuitBreaker::State::kOpen);
+  const auto probe = service.query(query, 40.0);
+  EXPECT_EQ(probe.status, serve::QueryStatus::kOk);
+  EXPECT_FALSE(probe.stale);
+}
+
 }  // namespace serve_chaos_tests

@@ -363,7 +363,7 @@ TEST(Sweep, UnderloadedHealthyCellStaysAtFullFidelity) {
   EXPECT_GT(report.ok, 0u);
 }
 
-TEST(DeniedCounters, UnifiedFamilyMovesWithLegacyAliases) {
+TEST(DeniedCounters, UnifiedFamilyReplacesLegacyAliases) {
   obs::MetricsRegistry registry;
   serve::ServeConfig config;
   config.shards = 2;
@@ -378,20 +378,22 @@ TEST(DeniedCounters, UnifiedFamilyMovesWithLegacyAliases) {
   query.location.country = "DE";
   query.game = "lol";
 
-  // Burn the single token, then shed twice: legacy tero.serve.shed and
-  // denied{reason=shed} tick together.
+  // Burn the single token, then shed twice: denied{reason=shed} counts
+  // both, and no legacy alias series is written any more.
   (void)service.query(query, 0.0);
   (void)service.query(query, 0.0);
   (void)service.query(query, 0.0);
-  const std::uint64_t legacy_shed =
-      registry.counter("tero.serve.shed").value();
   const std::uint64_t denied_shed =
       registry
           .counter(obs::MetricsRegistry::labeled("tero.serve.denied",
                                                  {{"reason", "shed"}}))
           .value();
-  EXPECT_GT(denied_shed, 0u);
-  EXPECT_EQ(denied_shed, legacy_shed);
+  EXPECT_EQ(denied_shed, 2u);
+  EXPECT_EQ(denied_shed, service.shed_count());
+  for (const auto& [name, counter] : registry.counters()) {
+    EXPECT_NE(name, "tero.serve.shed");
+    EXPECT_NE(name, "tero.serve.unavailable");
+  }
 
   // Brownout refusals land in the same family under their own label.
   service.set_admission_rate(1.0, 0.0);

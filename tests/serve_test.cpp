@@ -5,11 +5,11 @@
 #include <thread>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/epoch.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/lru_cache.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/snapshot_io.hpp"
@@ -170,29 +170,6 @@ TEST(EpochPublisher, RestoredSnapshotKeepsItsEpoch) {
   EXPECT_EQ(next, 42u);
 }
 
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<int> cache(2);
-  cache.put("a", 1);
-  cache.put("b", 2);
-  EXPECT_EQ(cache.get("a"), 1);  // refresh a; b is now LRU
-  cache.put("c", 3);
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_EQ(cache.get("a"), 1);
-  EXPECT_EQ(cache.get("c"), 3);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.get("a").has_value());
-}
-
-TEST(LruCacheTest, ZeroCapacityDisables) {
-  LruCache<int> cache(0);
-  cache.put("a", 1);
-  EXPECT_FALSE(cache.get("a").has_value());
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(QueryServiceTest, PointQueriesMatchSnapshotMath) {
   QueryService service(ServeConfig{});
   service.publish(three_entries());
@@ -230,7 +207,7 @@ TEST(QueryServiceTest, StatusesAndEmptyService) {
   EXPECT_EQ(service.query(query).status, QueryStatus::kNotFound);
 }
 
-TEST(QueryServiceTest, CacheHitsAndInvalidationOnPublish) {
+TEST(QueryServiceTest, NextAnswerAfterPublishComesFromNewEpoch) {
   obs::MetricsRegistry registry;
   ServeConfig config;
   config.shards = 2;
@@ -245,23 +222,28 @@ TEST(QueryServiceTest, CacheHitsAndInvalidationOnPublish) {
   query.kind = QueryKind::kMean;
   const auto first = service.query(query);
   EXPECT_DOUBLE_EQ(first.value, 20.0);
-  EXPECT_FALSE(first.cached);
+  EXPECT_EQ(first.epoch, 1u);
   const auto second = service.query(query);
-  EXPECT_TRUE(second.cached);
-  EXPECT_DOUBLE_EQ(second.value, 20.0);
-  EXPECT_EQ(service.cache_hits(), 1u);
-  EXPECT_EQ(registry.counter("tero.serve.cache_hits").value(), 1u);
+  EXPECT_EQ(hash_response(0, second), hash_response(0, first));
 
-  // New epoch with different data: the caches are cleared, so the next
-  // query recomputes against the new snapshot instead of serving stale
-  // bits.
+  // New epoch with different data: the very next query answers from it.
   service.publish({make_entry("DE", "lol", {100, 200, 300})});
   const auto fresh = service.query(query);
-  EXPECT_FALSE(fresh.cached);
   EXPECT_DOUBLE_EQ(fresh.value, 200.0);
   EXPECT_EQ(fresh.epoch, 2u);
+  EXPECT_FALSE(fresh.stale);
   EXPECT_EQ(registry.counter("tero.serve.publishes").value(), 2u);
-  // The per-shard queue-depth gauges exist with the shard label.
+  EXPECT_EQ(registry.gauge("tero.serve.epoch").value(), 2.0);
+  // No response cache: the accessors perfbench still reads stay at 0.
+  EXPECT_EQ(service.cache_hits(), 0u);
+  EXPECT_EQ(service.cache_misses(), 0u);
+  // One queue-depth gauge per shard, labeled with the shard; the queried
+  // shard saw one query in flight.
+  std::size_t depth_gauges = 0;
+  for (const auto& [name, gauge] : registry.gauges()) {
+    if (name.starts_with("tero.serve.shard_queue_depth{")) ++depth_gauges;
+  }
+  EXPECT_EQ(depth_gauges, service.shard_count());
   EXPECT_EQ(registry
                 .gauge(obs::MetricsRegistry::labeled(
                     "tero.serve.shard_queue_depth",
@@ -269,6 +251,58 @@ TEST(QueryServiceTest, CacheHitsAndInvalidationOnPublish) {
                                    service.shard_for(query))}}))
                 .value(),
             1.0);
+}
+
+TEST(QueryServiceTest, BothPublishOverloadsRotateThePreviousEpoch) {
+  obs::MetricsRegistry registry;
+  fault::FaultInjector injector(
+      fault::FaultPlan::parse("serve.shard-0=error@1:max=2"));
+  ServeConfig config;
+  config.shards = 1;
+  config.metrics = &registry;
+  config.injector = &injector;
+  QueryService service(config);
+  Query query;
+  query.location.country = "DE";
+  query.game = "lol";
+  query.kind = QueryKind::kMean;
+
+  // A restored snapshot keeps its epoch; the built one continues past it
+  // and demotes the restored one to the degraded path's fallback.
+  service.publish(std::make_shared<const Snapshot>(
+      41, std::vector<SnapshotEntry>{make_entry("DE", "lol", {10, 20, 30})}));
+  EXPECT_EQ(service.publish({make_entry("DE", "lol", {100, 200, 300})}), 42u);
+  const auto from_41 = service.query(query, 0.0);
+  EXPECT_TRUE(from_41.stale);
+  EXPECT_EQ(from_41.stale_age, 1u);
+  EXPECT_DOUBLE_EQ(from_41.value, 20.0);
+
+  // And the other way round: the snapshot overload demotes epoch 42.
+  service.publish(std::make_shared<const Snapshot>(
+      50, std::vector<SnapshotEntry>{make_entry("DE", "lol", {1, 2, 3})}));
+  const auto from_42 = service.query(query, 0.1);
+  EXPECT_TRUE(from_42.stale);
+  EXPECT_EQ(from_42.stale_age, 8u);
+  EXPECT_DOUBLE_EQ(from_42.value, 200.0);
+  EXPECT_DOUBLE_EQ(service.query(query, 0.2).value, 2.0);  // plan drained
+
+  EXPECT_EQ(service.publish_count(), 3u);
+  EXPECT_EQ(registry.counter("tero.serve.publishes").value(), 3u);
+  EXPECT_EQ(registry.gauge("tero.serve.epoch").value(), 50.0);
+}
+
+TEST(QueryServiceTest, ShardKeyIsTheEntryKeyOrTheTopKGame) {
+  Query query;
+  query.location.country = "DE";
+  query.location.region = "Hesse";
+  query.game = "lol";
+  EXPECT_EQ(shard_key(query), entry_key(query.location, "lol"));
+  query.kind = QueryKind::kRangeDrift;  // history lives with its entry
+  EXPECT_EQ(shard_key(query), entry_key(query.location, "lol"));
+  query.kind = QueryKind::kTopK;  // one shard per game, location ignored
+  EXPECT_EQ(shard_key(query), "topk|lol");
+  query.location.country = "FR";
+  EXPECT_EQ(shard_key(query), "topk|lol");
 }
 
 TEST(QueryServiceTest, ShardingIsStableAndCovering) {
@@ -316,7 +350,11 @@ TEST(QueryServiceTest, ShedsUnderOverloadAndRecovers) {
   EXPECT_EQ(ok, 5u);
   EXPECT_EQ(shed, 15u);
   EXPECT_EQ(service.shed_count(), 15u);
-  EXPECT_EQ(registry.counter("tero.serve.shed").value(), 15u);
+  EXPECT_EQ(registry
+                .counter(obs::MetricsRegistry::labeled("tero.serve.denied",
+                                                       {{"reason", "shed"}}))
+                .value(),
+            15u);
 
   // One second later the bucket has refilled rate * 1s = 10 tokens, but the
   // balance is capped at the burst size, so only 5 more get through.
@@ -599,10 +637,9 @@ TEST(QueryServiceTest, RangeKindsAnswerFromTimeSeriesStore) {
               static_cast<std::int64_t>(day) * kDayMs);
   }
 
-  // Identical repeat is served from the shard cache; the answer is equal.
-  const QueryResponse cached = service.query(query);
-  EXPECT_TRUE(cached.cached);
-  EXPECT_EQ(hash_response(7, cached), hash_response(7, response));
+  // An identical repeat reads the store again and answers the same bits.
+  const QueryResponse repeat = service.query(query);
+  EXPECT_EQ(hash_response(7, repeat), hash_response(7, response));
 
   query.kind = QueryKind::kRangeCount;
   response = service.query(query);
@@ -644,7 +681,7 @@ TEST(QueryServiceTest, RangeKindsWithoutStoreAreUnavailable) {
   EXPECT_EQ(service.query(query).status, QueryStatus::kUnavailable);
 }
 
-TEST(QueryServiceTest, RangeCacheInvalidatesWhenStoreAdvances) {
+TEST(QueryServiceTest, RangeQueriesSeeNewAppends) {
   constexpr std::int64_t kDayMs = 86'400'000;
   tsdb::TimeSeriesStore store{tsdb::TsdbConfig{}};
   geo::Location de;
@@ -668,10 +705,9 @@ TEST(QueryServiceTest, RangeCacheInvalidatesWhenStoreAdvances) {
   ASSERT_EQ(response.status, QueryStatus::kOk);
   EXPECT_DOUBLE_EQ(response.value, 1.0);
 
-  // New appends bump the store version; the cached count must not survive.
+  // The next range query reads the store afresh and counts the new append.
   store.append(key, 2'000, 11.0);
   response = service.query(query);
-  EXPECT_FALSE(response.cached);
   EXPECT_DOUBLE_EQ(response.value, 2.0);
 }
 

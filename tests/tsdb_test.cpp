@@ -350,10 +350,14 @@ TEST(StoreTest, BitIdenticalAcrossThreadCounts) {
 class StoreDiskTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The test name keeps each test's directory apart: ctest runs every
+    // test in its own process, all with the same random_seed.
     dir_ = (fs::temp_directory_path() /
             ("tero_tsdb_store_" +
              std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
+                                ->random_seed()) +
+             "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                .string();
     fs::remove_all(dir_);
   }
