@@ -34,6 +34,8 @@
 #include "synth/thumbnail.hpp"
 #include "synth/world.hpp"
 #include "tero/pipeline.hpp"
+#include "tsdb/encoding.hpp"
+#include "tsdb/store.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -478,6 +480,96 @@ void BM_FaultPointActive(benchmark::State& state) {
   fault_point_loop(state, &injector.point("bench.point"));
 }
 BENCHMARK(BM_FaultPointActive);
+
+// Tiered-storage read path (DESIGN.md §15), shaped like the serving
+// history: one sample per hour, whole-millisecond latencies. The encode and
+// decode benches work on one 16-day (384-sample) chunk, the span of a
+// level-2 segment; BM_TsdbRange answers 1-7 day daily-window queries over a
+// 30-day store. ci.sh perf-smoke holds all three to the floors in
+// bench/perf_baseline.txt.
+constexpr std::int64_t kBenchHourMs = 3'600'000;
+constexpr std::int64_t kBenchDayMs = 24 * kBenchHourMs;
+
+std::vector<tsdb::Sample> hourly_history(util::Rng& rng, int hours) {
+  std::vector<tsdb::Sample> samples;
+  samples.reserve(static_cast<std::size_t>(hours));
+  for (int h = 0; h < hours; ++h) {
+    samples.push_back({h * kBenchHourMs + kBenchHourMs / 2,
+                       static_cast<double>(rng.uniform_int(20, 150))});
+  }
+  return samples;
+}
+
+void BM_ChunkEncode(benchmark::State& state) {
+  util::Rng rng(23);
+  const auto samples = hourly_history(rng, 16 * 24);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tsdb::encode_chunk(samples));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples.size()));
+}
+BENCHMARK(BM_ChunkEncode);
+
+void BM_ChunkDecode(benchmark::State& state) {
+  util::Rng rng(23);
+  const auto samples = hourly_history(rng, 16 * 24);
+  const std::string bytes = tsdb::encode_chunk(samples);
+  for (auto _ : state) {
+    tsdb::ChunkCursor cursor(bytes);
+    tsdb::Sample sample;
+    double sum = 0.0;
+    while (cursor.next(sample)) sum += sample.value;
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples.size()));
+}
+BENCHMARK(BM_ChunkDecode);
+
+void BM_TsdbRange(benchmark::State& state) {
+  constexpr int kKeys = 512;
+  constexpr int kDays = 30;
+  tsdb::TimeSeriesStore store{tsdb::TsdbConfig{}};
+  std::vector<std::string> keys;
+  std::vector<std::vector<tsdb::Sample>> history;
+  for (int k = 0; k < kKeys; ++k) {
+    util::Rng rng = util::Rng::indexed(29, static_cast<std::uint64_t>(k));
+    keys.push_back("game|C" + std::to_string(k) + "|region|city");
+    history.push_back(hourly_history(rng, kDays * 24));
+  }
+  for (int day = 0; day < kDays; ++day) {
+    for (int k = 0; k < kKeys; ++k) {
+      for (int h = day * 24; h < (day + 1) * 24; ++h) {
+        const tsdb::Sample& sample = history[k][static_cast<std::size_t>(h)];
+        store.append(keys[k], sample.t_ms, sample.value);
+      }
+    }
+    store.advance_to((day + 1) * kBenchDayMs);
+  }
+  std::vector<tsdb::RangeQuery> queries(256);
+  util::Rng rng(31);
+  for (tsdb::RangeQuery& query : queries) {
+    static constexpr tsdb::RangeAgg kAggs[] = {
+        tsdb::RangeAgg::kCount, tsdb::RangeAgg::kMean,
+        tsdb::RangeAgg::kPercentile};
+    static constexpr double kPercentiles[] = {50, 90, 99};
+    query.key = keys[static_cast<std::size_t>(rng.uniform_int(0, kKeys - 1))];
+    query.agg = kAggs[rng.uniform_int(0, 2)];
+    query.pct = kPercentiles[rng.uniform_int(0, 2)];
+    const auto span_days = rng.uniform_int(1, 7);
+    query.t1_ms = rng.uniform_int(span_days, kDays) * kBenchDayMs;
+    query.t0_ms = query.t1_ms - span_days * kBenchDayMs;
+    query.window_ms = kBenchDayMs;
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.range(queries[next]));
+    next = (next + 1) % queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TsdbRange);
 
 void BM_ProbitFit(benchmark::State& state) {
   util::Rng rng(5);

@@ -3,6 +3,10 @@
 #
 #   tier1        Release build, full test suite          (the seed contract)
 #   asan         AddressSanitizer, smoke-labeled tests   (fast memory checks)
+#   ubsan        UndefinedBehaviorSanitizer, smoke- and tsdb-labeled tests,
+#                with UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 set
+#                by the test preset, so any UB report fails the job (the
+#                tsdb chunk mutation test runs here)
 #   tsan         ThreadSanitizer, full test suite        (pool + pipeline races)
 #   bench-smoke  Run bench binaries at tiny N, then parse-check the
 #                BENCH_*.json artifacts with bench_json_check (obs::json).
@@ -44,8 +48,9 @@
 #                and a 3-seed `tero_cli control sweep` determinism sweep —
 #                the per-tick decision log at 1 and 8 threads must be
 #                byte-identical (cmp) for every seed.
-#   perf-smoke   Extraction fast-path gate (DESIGN.md §12): the simd_test
+#   perf-smoke   Fast-path gate (DESIGN.md §12, §15): the simd_test
 #                bit-identity suite, the per-stage extraction microbenches
+#                and the tsdb chunk encode/decode and range-query benches
 #                checked against the committed floors in
 #                bench/perf_baseline.txt (>15% throughput drop fails), and
 #                a TERO_SIMD=off full-OCR run that must reproduce the
@@ -59,13 +64,14 @@
 #
 # Run the default three:   scripts/ci.sh
 # Run a subset:            scripts/ci.sh asan tsan
+# UB check:                scripts/ci.sh ubsan
 # Bench artifact gate:     scripts/ci.sh bench-smoke
 # Fault-injection gate:    scripts/ci.sh chaos-smoke
 # Observability gate:      scripts/ci.sh obs-smoke
 # Cluster gate:            scripts/ci.sh cluster-smoke
 # Tiered-storage gate:     scripts/ci.sh tsdb-smoke
 # Overload-control gate:   scripts/ci.sh control-smoke
-# Extraction perf gate:    scripts/ci.sh perf-smoke
+# Fast-path perf gate:     scripts/ci.sh perf-smoke
 # Benchmark self-test:     scripts/ci.sh perfbench
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -362,7 +368,7 @@ run_perf_smoke() {
   (
     cd build/bench
     ./bench_perf_micro \
-      --benchmark_filter='BM_OcrExtract|BM_Img|BM_Glyph|BM_OcrMatch' \
+      --benchmark_filter='BM_OcrExtract|BM_Img|BM_Glyph|BM_OcrMatch|BM_ChunkEncode|BM_ChunkDecode|BM_TsdbRange' \
       --benchmark_min_time=0.05
     # Throughput floors: bench/perf_baseline.txt records the events/s each
     # stage sustained at the commit that last touched the fast path (scaled
@@ -418,6 +424,7 @@ for job in "${jobs[@]}"; do
   case "$job" in
     tier1) run_preset default default ;;
     asan)  run_preset asan asan ;;   # test preset filters to -L smoke
+    ubsan) run_preset ubsan ubsan ;; # test preset filters to -L 'smoke|tsdb'
     tsan)  run_preset tsan tsan ;;
     bench-smoke) run_bench_smoke ;;
     chaos-smoke) run_chaos_smoke ;;
@@ -427,7 +434,7 @@ for job in "${jobs[@]}"; do
     control-smoke) run_control_smoke ;;
     perf-smoke) run_perf_smoke ;;
     perfbench) python3 perfbench/test_perfbench.py ;;
-    *) echo "unknown job: $job (want tier1, asan, tsan, bench-smoke," \
+    *) echo "unknown job: $job (want tier1, asan, ubsan, tsan, bench-smoke," \
             "chaos-smoke, obs-smoke, cluster-smoke, tsdb-smoke," \
             "control-smoke, perf-smoke or perfbench)" >&2
        exit 2 ;;

@@ -37,11 +37,24 @@ QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
   if (!(alpha > 0.0 && alpha < 1.0)) {
     throw std::invalid_argument("QuantileSketch: alpha must be in (0, 1)");
   }
-  log_gamma_ = std::log((1.0 + alpha) / (1.0 - alpha));
+  log_gamma_ = log_gamma_of(alpha);
 }
 
-int QuantileSketch::bucket_index(double value) const {
-  return static_cast<int>(std::ceil(std::log(value) / log_gamma_));
+double QuantileSketch::log_gamma_of(double alpha) {
+  return std::log((1.0 + alpha) / (1.0 - alpha));
+}
+
+int QuantileSketch::bucket_index(double log_gamma, double value) {
+  return static_cast<int>(std::ceil(std::log(value) / log_gamma));
+}
+
+double QuantileSketch::bucket_value(double gamma, int index) {
+  return 2.0 * std::pow(gamma, index) / (gamma + 1.0);
+}
+
+std::uint64_t QuantileSketch::rank_of(double q, std::uint64_t total) {
+  q = std::clamp(q, 0.0, 1.0);
+  return static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total)));
 }
 
 void QuantileSketch::add(double value) {
@@ -50,7 +63,7 @@ void QuantileSketch::add(double value) {
     ++underflow_;
     return;
   }
-  ++buckets_[bucket_index(value)];
+  ++buckets_[bucket_index(log_gamma_, value)];
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -104,21 +117,15 @@ double QuantileSketch::quantile(double q) const {
   std::uint64_t total = underflow_;
   for (const auto& [index, count] : buckets_) total += count;
   if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
+  const std::uint64_t target = rank_of(q, total);
   std::uint64_t cumulative = underflow_;
   if (cumulative >= target) return 0.0;
   const double gamma = std::exp(log_gamma_);
   for (const auto& [index, count] : buckets_) {
     cumulative += count;
-    if (cumulative >= target) {
-      // Midpoint of (gamma^(i-1), gamma^i] — the estimate that bounds the
-      // relative error by alpha.
-      return 2.0 * std::pow(gamma, index) / (gamma + 1.0);
-    }
+    if (cumulative >= target) return bucket_value(gamma, index);
   }
-  return 2.0 * std::pow(gamma, buckets_.rbegin()->first) / (gamma + 1.0);
+  return bucket_value(gamma, buckets_.rbegin()->first);
 }
 
 double QuantileSketch::quantile_of(
@@ -127,21 +134,39 @@ double QuantileSketch::quantile_of(
   std::uint64_t total = underflow;
   for (const auto& [index, count] : buckets) total += count;
   if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
+  const std::uint64_t target = rank_of(q, total);
   std::uint64_t cumulative = underflow;
   if (cumulative >= target) return 0.0;
   // Same gamma derivation as the constructor, so results are bit-identical
   // to restore() + quantile() at the same alpha.
-  const double gamma = std::exp(std::log((1.0 + alpha) / (1.0 - alpha)));
+  const double gamma = std::exp(log_gamma_of(alpha));
   for (const auto& [index, count] : buckets) {
     cumulative += count;
-    if (cumulative >= target) {
-      return 2.0 * std::pow(gamma, index) / (gamma + 1.0);
-    }
+    if (cumulative >= target) return bucket_value(gamma, index);
   }
-  return 2.0 * std::pow(gamma, buckets.back().first) / (gamma + 1.0);
+  return bucket_value(gamma, buckets.back().first);
+}
+
+double QuantileSketch::quantile_of_values(double alpha,
+                                          std::span<double> values,
+                                          double q) {
+  if (values.empty()) return 0.0;
+  const std::uint64_t target = rank_of(q, values.size());
+  // add() counts what is not > kMinTrackable (NaN included) as underflow,
+  // which ranks first and reports 0.
+  const auto trackable =
+      std::partition(values.begin(), values.end(),
+                     [](double value) { return !(value > kMinTrackable); });
+  const auto underflow = static_cast<std::uint64_t>(trackable - values.begin());
+  if (underflow >= target) return 0.0;
+  // bucket_index never decreases as the value grows, so the bucket of the
+  // rank-th value is the one where the sketch's cumulative count reaches
+  // the rank.
+  const auto nth =
+      trackable + static_cast<std::ptrdiff_t>(target - underflow - 1);
+  std::nth_element(trackable, nth, values.end());
+  const double log_gamma = log_gamma_of(alpha);
+  return bucket_value(std::exp(log_gamma), bucket_index(log_gamma, *nth));
 }
 
 Histogram::Histogram(std::vector<double> bounds)

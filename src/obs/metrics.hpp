@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -65,7 +66,9 @@ class Gauge {
 /// sketches with the same alpha is exact (bucket counts add).
 class QuantileSketch {
  public:
-  explicit QuantileSketch(double alpha = 0.01);
+  static constexpr double kDefaultAlpha = 0.01;
+
+  explicit QuantileSketch(double alpha = kDefaultAlpha);
 
   void add(double value);
   void merge(const QuantileSketch& other);
@@ -95,8 +98,21 @@ class QuantileSketch {
       double alpha, const std::vector<std::pair<int, std::uint64_t>>& buckets,
       std::uint64_t underflow, double q);
 
+  /// Quantile of a plain value set, bit-identical to add()-ing every value
+  /// to a fresh sketch with this `alpha` and calling quantile(q), without
+  /// the lock and the bucket map: it selects the rank-th value in place
+  /// (reordering `values`) and maps only that one to its bucket.
+  [[nodiscard]] static double quantile_of_values(double alpha,
+                                                 std::span<double> values,
+                                                 double q);
+
  private:
-  [[nodiscard]] int bucket_index(double value) const;
+  [[nodiscard]] static double log_gamma_of(double alpha);
+  [[nodiscard]] static int bucket_index(double log_gamma, double value);
+  /// The value a bucket reports: the midpoint of (gamma^(i-1), gamma^i].
+  [[nodiscard]] static double bucket_value(double gamma, int index);
+  /// 1-based rank of the value at quantile q among `total` values.
+  [[nodiscard]] static std::uint64_t rank_of(double q, std::uint64_t total);
 
   double alpha_;
   double log_gamma_;

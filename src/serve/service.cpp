@@ -417,6 +417,12 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
   if (shard.queue_depth != nullptr) {
     shard.queue_depth->set(static_cast<double>(depth));
   }
+  // The slot is released on every exit: compute() throws
+  // std::invalid_argument on a malformed range query.
+  struct InflightSlot {
+    std::atomic<std::uint64_t>& inflight;
+    ~InflightSlot() { inflight.fetch_sub(1, std::memory_order_relaxed); }
+  } slot{shard.inflight};
   // Snapshots are immutable, so the answer is a pure function of the
   // (query, epoch) pair this reader loaded — a publish that raced it
   // cannot change the bits.
@@ -425,7 +431,6 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
       not_found_counter_ != nullptr) {
     not_found_counter_->add();
   }
-  shard.inflight.fetch_sub(1, std::memory_order_relaxed);
   return response;
 }
 

@@ -45,6 +45,29 @@ Snapshot::Snapshot(std::uint64_t epoch, std::vector<SnapshotEntry> entries)
             [](const SnapshotEntry& a, const SnapshotEntry& b) {
               return a.key < b.key;
             });
+  // Keys are "game|...", so one game's entries form one contiguous block.
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const std::string_view key = entries_[i].key;
+    const std::string_view game = key.substr(0, key.find('|'));
+    if (rankings_.empty() || rankings_.back().game != game) {
+      rankings_.push_back({std::string(game), {}});
+    }
+    if (entries_[i].samples > 0) rankings_.back().worst.push_back(i);
+  }
+  for (GameRanking& ranking : rankings_) {
+    std::sort(ranking.worst.begin(), ranking.worst.end(),
+              [this](std::size_t a, std::size_t b) {
+                const SnapshotEntry& x = entries_[a];
+                const SnapshotEntry& y = entries_[b];
+                if (x.box.p95 != y.box.p95) return x.box.p95 > y.box.p95;
+                return x.key < y.key;
+              });
+  }
+  // Key order is not game order ("lol2|" sorts before "lol|").
+  std::sort(rankings_.begin(), rankings_.end(),
+            [](const GameRanking& a, const GameRanking& b) {
+              return a.game < b.game;
+            });
 }
 
 const SnapshotEntry* Snapshot::find(const geo::Location& location,
@@ -64,25 +87,17 @@ const SnapshotEntry* Snapshot::find_key(std::string_view key) const {
 
 std::vector<const SnapshotEntry*> Snapshot::worst_locations(
     std::string_view game, std::size_t k) const {
-  // Entries sort by "game|..." so one game's block is contiguous.
-  std::string prefix(game);
-  prefix += '|';
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), prefix,
-                             [](const SnapshotEntry& entry,
-                                const std::string& p) {
-                               return entry.key < p;
-                             });
-  std::vector<const SnapshotEntry*> candidates;
-  for (; it != entries_.end() && it->key.rfind(prefix, 0) == 0; ++it) {
-    if (it->samples > 0) candidates.push_back(&*it);
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const SnapshotEntry* a, const SnapshotEntry* b) {
-              if (a->box.p95 != b->box.p95) return a->box.p95 > b->box.p95;
-              return a->key < b->key;
-            });
-  if (candidates.size() > k) candidates.resize(k);
-  return candidates;
+  const auto it = std::lower_bound(
+      rankings_.begin(), rankings_.end(), game,
+      [](const GameRanking& ranking, std::string_view g) {
+        return ranking.game < g;
+      });
+  std::vector<const SnapshotEntry*> worst;
+  if (it == rankings_.end() || it->game != game) return worst;
+  const std::size_t n = std::min(k, it->worst.size());
+  worst.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) worst.push_back(&entries_[it->worst[i]]);
+  return worst;
 }
 
 SnapshotEntry entry_from(const core::LocationGameAggregate& aggregate) {

@@ -75,13 +75,21 @@ class Snapshot {
   [[nodiscard]] const SnapshotEntry* find_key(std::string_view key) const;
 
   /// The k worst locations for `game`, ranked by descending `box.p95`
-  /// (ties broken by key so the order is total and deterministic).
+  /// (ties broken by key so the order is total and deterministic). Only
+  /// entries with samples rank; the ranking is built once per snapshot.
   [[nodiscard]] std::vector<const SnapshotEntry*> worst_locations(
       std::string_view game, std::size_t k) const;
 
  private:
+  /// One game's entries with samples, worst first (indices into entries_).
+  struct GameRanking {
+    std::string game;
+    std::vector<std::size_t> worst;
+  };
+
   std::uint64_t epoch_;
   std::vector<SnapshotEntry> entries_;  ///< sorted by key
+  std::vector<GameRanking> rankings_;   ///< sorted by game
 };
 
 /// Shared, immutable handle — the unit the epoch publisher swaps.

@@ -83,13 +83,12 @@ class ChunkCursor {
   void expect_end();
 
  private:
-  [[nodiscard]] bool read_bit();
-  [[nodiscard]] std::uint64_t read_bits(unsigned bits);
-  [[nodiscard]] std::int64_t read_dod();
-
+  // Bit-stream state; encoding.cpp's word-at-a-time reader works on it.
   const unsigned char* data_ = nullptr;  ///< start of the post-header bits
-  std::size_t bit_count_ = 0;
-  std::size_t bit_cursor_ = 0;
+  std::size_t stream_bytes_ = 0;  ///< bytes from data_ to the checksum
+  std::size_t next_byte_ = 0;     ///< first stream byte not yet in acc_
+  std::uint64_t acc_ = 0;         ///< buffered stream bits, MSB first
+  unsigned acc_bits_ = 0;         ///< valid bits at the top of acc_
   std::uint64_t count_ = 0;
   std::uint64_t emitted_ = 0;
   std::int64_t t_ = 0;
@@ -102,8 +101,5 @@ class ChunkCursor {
 /// Decode a chunk produced by encode_chunk; bit-exact round trip. Throws
 /// ChunkCorruptError on checksum mismatch, truncation, or malformed bits.
 [[nodiscard]] std::vector<Sample> decode_chunk(std::string_view bytes);
-
-/// Header-only peek: the sample count of a chunk (checksum verified).
-[[nodiscard]] std::uint64_t chunk_count(std::string_view bytes);
 
 }  // namespace tero::tsdb

@@ -147,10 +147,22 @@ Segment load_segment(const std::string& path) {
     if (!(is >> chunk.min_t >> chunk.max_t >> chunk.count)) {
       reject(path, "malformed chunk info for " + chunk.key);
     }
+    // Decode every chunk to its end once, here: range() stops decoding at
+    // a query's t1, so bits past it would otherwise go unchecked until some
+    // later query reached them.
     try {
-      if (chunk_count(chunk.bytes) != chunk.count) {
+      ChunkCursor cursor(chunk.bytes);
+      if (cursor.count() != chunk.count) {
         reject(path, "chunk count mismatch for " + chunk.key);
       }
+      Sample sample;
+      for (std::uint64_t i = 0; cursor.next(sample); ++i) {
+        if ((i == 0 && sample.t_ms != chunk.min_t) ||
+            (i + 1 == chunk.count && sample.t_ms != chunk.max_t)) {
+          reject(path, "chunk time range mismatch for " + chunk.key);
+        }
+      }
+      cursor.expect_end();
     } catch (const ChunkCorruptError& err) {
       reject(path, err.what());
     }

@@ -66,8 +66,9 @@ struct Segment {
 void save_segment(const Segment& segment, const std::string& path);
 
 /// Load and validate a segment file; throws std::runtime_error on torn,
-/// truncated, or bit-flipped files (store::load_kv_file's checks) and on
-/// malformed segment layout or per-chunk checksum failures.
+/// truncated, or bit-flipped files (store::load_kv_file's checks), on
+/// malformed segment layout, and on any chunk that fails its checksum or
+/// does not decode to its end exactly as its "i:<key>" info declares.
 [[nodiscard]] Segment load_segment(const std::string& path);
 
 }  // namespace tero::tsdb

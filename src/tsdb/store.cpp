@@ -4,6 +4,7 @@
 #include <bit>
 #include <filesystem>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -498,23 +499,24 @@ std::vector<RangePoint> TimeSeriesStore::range(const RangeQuery& query) const {
   struct WindowAgg {
     std::uint64_t count = 0;
     double sum = 0.0;
-    std::unique_ptr<obs::QuantileSketch> sketch;
   };
   std::vector<WindowAgg> aggs(static_cast<std::size_t>(windows));
+  // Percentile windows keep their values (tagged by window) and select the
+  // rank-th one at the end: no sketch, lock or map insert per sample.
+  const bool keep_values = query.agg == RangeAgg::kPercentile;
+  std::vector<std::pair<std::size_t, double>> kept;
   const auto fold = [&](const Sample& sample) {
     if (sample.t_ms < query.t0_ms || sample.t_ms >= query.t1_ms) return;
-    auto& agg = aggs[static_cast<std::size_t>(
-        (sample.t_ms - query.t0_ms) / query.window_ms)];
-    ++agg.count;
-    agg.sum += sample.value;
-    if (query.agg == RangeAgg::kPercentile) {
-      if (!agg.sketch) agg.sketch = std::make_unique<obs::QuantileSketch>();
-      agg.sketch->add(sample.value);
-    }
+    const auto w =
+        static_cast<std::size_t>((sample.t_ms - query.t0_ms) / query.window_ms);
+    ++aggs[w].count;
+    aggs[w].sum += sample.value;
+    if (keep_values) kept.emplace_back(w, sample.value);
   };
   // Stream chunk-by-chunk: one Sample at a time through the cursor, folded
   // straight into the window aggregates — no decoded series vector exists
-  // at any point.
+  // at any point. A chunk's timestamps never decrease, so decoding stops at
+  // its first sample at or after t1.
   for (const auto& segment : overlapping) {
     const SeriesChunk* chunk = segment->find(query.key);
     if (chunk == nullptr || chunk->min_t >= query.t1_ms ||
@@ -523,9 +525,23 @@ std::vector<RangePoint> TimeSeriesStore::range(const RangeQuery& query) const {
     }
     ChunkCursor cursor(chunk->bytes);
     Sample sample;
-    while (cursor.next(sample)) fold(sample);
+    while (cursor.next(sample) && sample.t_ms < query.t1_ms) fold(sample);
   }
   for (const Sample& sample : head_slice) fold(sample);
+
+  // Group the kept values by window (a counting sort): window w owns
+  // values[starts[w], starts[w] + count).
+  std::vector<std::size_t> starts(keep_values ? aggs.size() : 0);
+  std::vector<double> values(kept.size());
+  if (keep_values) {
+    std::size_t next = 0;
+    for (std::size_t w = 0; w < aggs.size(); ++w) {
+      starts[w] = next;
+      next += aggs[w].count;
+    }
+    std::vector<std::size_t> fill = starts;
+    for (const auto& [w, value] : kept) values[fill[w]++] = value;
+  }
 
   std::vector<RangePoint> points;
   points.reserve(aggs.size());
@@ -542,7 +558,10 @@ std::vector<RangePoint> TimeSeriesStore::range(const RangeQuery& query) const {
           point.value = aggs[w].sum / static_cast<double>(aggs[w].count);
           break;
         case RangeAgg::kPercentile:
-          point.value = aggs[w].sketch->quantile(query.pct / 100.0);
+          point.value = obs::QuantileSketch::quantile_of_values(
+              obs::QuantileSketch::kDefaultAlpha,
+              std::span(values).subspan(starts[w], aggs[w].count),
+              query.pct / 100.0);
           break;
       }
     }

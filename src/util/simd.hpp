@@ -117,7 +117,7 @@ inline void binarize_u8(const std::uint8_t* src, std::uint8_t* dst,
                         std::size_t n, std::uint8_t threshold) noexcept {
   std::size_t i = 0;
   if (threshold == 255) {  // nothing exceeds 255
-    std::memset(dst, 0, n);
+    if (n > 0) std::memset(dst, 0, n);  // dst may be null when n == 0
     return;
   }
 #if defined(TERO_SIMD_SSE2)

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -104,6 +106,46 @@ TEST(QuantileSketch, MergeMatchesCombinedStream) {
     // Same-alpha merge is exact: bucket counts add.
     EXPECT_DOUBLE_EQ(a.quantile(q), combined.quantile(q)) << "q=" << q;
   }
+}
+
+/// quantile_of_values must answer exactly what add() + quantile() would.
+TEST(QuantileSketch, QuantileOfValuesMatchesAddThenQuantile) {
+  const auto bits = [](double value) {
+    std::uint64_t out = 0;
+    std::memcpy(&out, &value, sizeof out);
+    return out;
+  };
+  const double gamma = (1.0 + QuantileSketch::kDefaultAlpha) /
+                       (1.0 - QuantileSketch::kDefaultAlpha);
+  // Zeros, negatives, NaN, values around the 1e-9 underflow cut and around
+  // bucket boundaries, and heavy duplication.
+  const std::vector<double> pool = {
+      0.0, -0.0, -3.5, -1e300, std::nan(""), 1e-9,
+      std::nextafter(1e-9, 1.0), 1e-12, 1.0, std::pow(gamma, 17),
+      std::nextafter(std::pow(gamma, 17), 0.0),
+      std::nextafter(std::pow(gamma, 17), 1e9), 24.0, 25.0, 87.5, 1e6};
+  std::mt19937_64 gen(11);
+  for (int round = 0; round < 400; ++round) {
+    std::vector<double> values(gen() % 40);
+    for (double& value : values) {
+      value = gen() % 3 == 0
+                  ? std::ldexp(static_cast<double>(gen() % 100000), -7)
+                  : pool[gen() % pool.size()];
+    }
+    for (const double q :
+         {0.0, 1e-9, 0.01, 0.5, 0.9, 0.99, 1.0,
+          static_cast<double>(gen() % 1001) / 1000.0}) {
+      QuantileSketch sketch;
+      for (const double value : values) sketch.add(value);
+      std::vector<double> scratch = values;
+      EXPECT_EQ(bits(QuantileSketch::quantile_of_values(
+                    QuantileSketch::kDefaultAlpha, scratch, q)),
+                bits(sketch.quantile(q)))
+          << "round " << round << " q " << q << " n " << values.size();
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(QuantileSketch::quantile_of_values(0.01, empty, 0.5), 0.0);
 }
 
 TEST(Registry, LabeledNamesAreStable) {

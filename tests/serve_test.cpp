@@ -16,6 +16,8 @@
 #include "stats/descriptive.hpp"
 #include "synth/sessions.hpp"
 #include "tero/pipeline.hpp"
+#include "tsdb/store.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tero::serve {
@@ -78,6 +80,56 @@ TEST(Snapshot, TopKWorstRanksByP95) {
   // k larger than the population clips without crashing.
   EXPECT_EQ(snapshot.worst_locations("lol", 99).size(), 3u);
   EXPECT_TRUE(snapshot.worst_locations("unknown-game", 3).empty());
+}
+
+/// The ranking each snapshot builds once must order a game's entries
+/// exactly as a per-query scan and full sort of its key block would.
+TEST(Snapshot, PrebuiltRankingMatchesPerQuerySort) {
+  const auto reference = [](const Snapshot& snapshot, const std::string& game,
+                            std::size_t k) {
+    std::vector<const SnapshotEntry*> candidates;
+    for (const SnapshotEntry& entry : snapshot.entries()) {
+      if (entry.key.rfind(game + "|", 0) == 0 && entry.samples > 0) {
+        candidates.push_back(&entry);
+      }
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const SnapshotEntry* a, const SnapshotEntry* b) {
+                if (a->box.p95 != b->box.p95) return a->box.p95 > b->box.p95;
+                return a->key < b->key;
+              });
+    if (candidates.size() > k) candidates.resize(k);
+    return candidates;
+  };
+  const std::vector<std::string> games = {"lol", "lol2", "cs go", "dota", "a"};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    std::vector<SnapshotEntry> entries;
+    const auto n = rng.uniform_int(0, 60);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::string& game =
+          games[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+      // Few distinct values, so many p95s tie; some entries have no samples.
+      std::vector<double> values;
+      const auto samples = rng.uniform_int(0, 4);
+      for (std::int64_t v = 0; v < samples; ++v) {
+        values.push_back(static_cast<double>(rng.uniform_int(1, 3)) * 10.0);
+      }
+      entries.push_back(make_entry("C" + std::to_string(i), game,
+                                   std::move(values),
+                                   rng.bernoulli(0.5) ? "R" : ""));
+    }
+    const Snapshot snapshot(seed, std::move(entries));
+    for (const std::string& game : games) {
+      for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{3}, std::size_t{100}}) {
+        EXPECT_EQ(snapshot.worst_locations(game, k),
+                  reference(snapshot, game, k))
+            << "seed " << seed << " game " << game << " k " << k;
+      }
+    }
+    EXPECT_TRUE(snapshot.worst_locations("lo", 5).empty());
+  }
 }
 
 TEST(Snapshot, BuildsFromPipelineDataset) {
@@ -668,6 +720,36 @@ TEST(QueryServiceTest, RangeKindsAnswerFromTimeSeriesStore) {
   query.game = "lol";
   query.window_ms = 0;
   EXPECT_THROW((void)service.query(query), std::invalid_argument);
+}
+
+TEST(QueryServiceTest, ThrowingRangeQueryReleasesItsShardSlot) {
+  tsdb::TimeSeriesStore store{tsdb::TsdbConfig{}};
+  obs::MetricsRegistry registry;
+  ServeConfig config;
+  config.shards = 1;
+  config.metrics = &registry;
+  config.tsdb = &store;
+  QueryService service(config);
+  service.publish(three_entries());
+
+  Query bad;
+  bad.kind = QueryKind::kRangeMean;
+  bad.location.country = "DE";
+  bad.game = "lol";
+  bad.t1_ms = 86'400'000;
+  bad.window_ms = 0;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW((void)service.query(bad), std::invalid_argument);
+  }
+  Query good;
+  good.kind = QueryKind::kMean;
+  good.location.country = "DE";
+  good.game = "lol";
+  EXPECT_EQ(service.query(good).status, QueryStatus::kOk);
+  // Only the good query was in flight when it entered the shard.
+  EXPECT_EQ(registry.gauge("tero.serve.shard_queue_depth{shard=shard-0}")
+                .value(),
+            1.0);
 }
 
 TEST(QueryServiceTest, RangeKindsWithoutStoreAreUnavailable) {

@@ -58,7 +58,7 @@ TEST(ChunkCodec, RejectsTimestampRegression) {
 
 TEST(ChunkCodec, CountMatchesHeader) {
   const auto samples = ramp(37, 5, 3, 1.0, 0.5);
-  EXPECT_EQ(chunk_count(encode_chunk(samples)), 37u);
+  EXPECT_EQ(ChunkCursor(encode_chunk(samples)).count(), 37u);
 }
 
 TEST(ChunkCodec, CursorStreamsSamplesInOrder) {
@@ -108,6 +108,84 @@ std::vector<Sample> random_stream(util::Rng& rng, int shape,
   return samples;
 }
 
+/// One chunk that reaches every codec branch: each delta-of-delta bucket at
+/// both of its edges, the 64-bit escape (including zigzag values with the
+/// top bit set), and every XOR window length 1..64, each written once as a
+/// new window and once reused by a single bit inside it.
+std::vector<Sample> every_bucket_stream() {
+  std::vector<std::int64_t> deltas = {0, 1ll << 62, 0};
+  constexpr std::int64_t kBase = 1ll << 41;  // keeps every delta >= 0
+  deltas.push_back(kBase);
+  for (const std::int64_t dod :
+       {1ll, -1ll, 63ll, -64ll, 64ll, -65ll, 255ll, -256ll, 256ll, -257ll,
+        2047ll, -2048ll, 2048ll, -2049ll, 1ll << 40, -(1ll << 40)}) {
+    deltas.push_back(deltas.back() + dod);
+    deltas.push_back(kBase);
+  }
+  std::vector<std::uint64_t> xors = {0};
+  for (unsigned length = 1; length <= 64; ++length) {
+    // Odd lengths sit at the top, even ones at the bottom, so no window
+    // fits inside its predecessor and each one is written fresh.
+    const unsigned leading = length % 2 == 1 ? 0 : 64 - length;
+    const unsigned trailing = 64 - leading - length;
+    std::uint64_t window = 1ull << (63 - leading);
+    window |= 1ull << trailing;
+    xors.push_back(window);
+    xors.push_back(1ull << (trailing + length / 2));  // reuses that window
+    xors.push_back(0);
+  }
+  std::vector<Sample> samples;
+  std::int64_t t = -5;
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(42.0);
+  for (std::size_t i = 0; i < std::max(deltas.size(), xors.size()); ++i) {
+    t += i < deltas.size() ? deltas[i] : kBase;
+    bits ^= i < xors.size() ? xors[i] : 0;
+    samples.push_back({t, std::bit_cast<double>(bits)});
+  }
+  return samples;
+}
+
+/// Bitwise sample equality: the every-bucket stream holds NaN bit patterns.
+bool same_bits(const std::vector<Sample>& a, const std::vector<Sample>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const Sample& x, const Sample& y) {
+                      return x.t_ms == y.t_ms &&
+                             std::bit_cast<std::uint64_t>(x.value) ==
+                                 std::bit_cast<std::uint64_t>(y.value);
+                    });
+}
+
+std::uint64_t hash_bytes(const std::string& bytes) {
+  return util::fnv1a64({bytes.data(), bytes.size()});
+}
+
+/// The codec's format is frozen: these digests pin the exact bytes
+/// encode_chunk produced before the word-at-a-time writer replaced the
+/// bit-at-a-time one.
+TEST(ChunkCodec, GoldenBytesArePinned) {
+  std::uint64_t fuzz_digest = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (int shape = 0; shape < 4; ++shape) {
+      util::Rng rng = util::Rng::indexed(seed, static_cast<unsigned>(shape));
+      const auto samples = random_stream(
+          rng, shape, 64 + seed * 7 + static_cast<unsigned>(shape));
+      fuzz_digest =
+          util::mix_seed(fuzz_digest, hash_bytes(encode_chunk(samples)));
+    }
+  }
+  EXPECT_EQ(fuzz_digest, 0xbf1569a87be3077eULL);
+
+  const auto samples = every_bucket_stream();
+  const std::string bytes = encode_chunk(samples);
+  EXPECT_TRUE(same_bits(decode_chunk(bytes), samples));
+  EXPECT_EQ(bytes.size(), 826u);
+  EXPECT_EQ(hash_bytes(bytes), 0xbaf5da45a630be3cULL);
+  EXPECT_EQ(hash_bytes(encode_chunk({})), 0x9efbe3239edd166bULL);
+  EXPECT_EQ(hash_bytes(encode_chunk(std::vector<Sample>{{-7, 1.5}})),
+            0xb8b1a5493a8aa3daULL);
+}
+
 TEST(ChunkCodec, FuzzRoundTripAndCorruptionSweep) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     for (int shape = 0; shape < 4; ++shape) {
@@ -133,6 +211,113 @@ TEST(ChunkCodec, FuzzRoundTripAndCorruptionSweep) {
       }
     }
   }
+}
+
+/// Re-append a valid checksum, so a mutated payload reaches the parser
+/// proper instead of stopping at the checksum check.
+std::string reseal(std::string payload) {
+  const std::uint64_t sum = util::fnv1a64({payload.data(), payload.size()});
+  for (int i = 0; i < 8; ++i) {
+    payload.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
+  }
+  return payload;
+}
+
+std::string varint(std::uint64_t value) {
+  std::string out;
+  while (value >= 0x80) {
+    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
+    value >>= 7;
+  }
+  out.push_back(static_cast<char>(value));
+  return out;
+}
+
+/// The codec corpus: the fuzz shapes, the every-bucket stream, and an
+/// hourly 16-day run shaped like the serving history.
+std::vector<std::string> codec_corpus() {
+  std::vector<std::string> corpus;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (int shape = 0; shape < 4; ++shape) {
+      util::Rng rng = util::Rng::indexed(seed, static_cast<unsigned>(shape));
+      corpus.push_back(encode_chunk(random_stream(
+          rng, shape, 64 + seed * 7 + static_cast<unsigned>(shape))));
+    }
+  }
+  corpus.push_back(encode_chunk(every_bucket_stream()));
+  util::Rng rng(99);
+  std::vector<Sample> hourly;
+  for (int h = 0; h < 16 * 24; ++h) {
+    hourly.push_back({h * 3'600'000ll + 1'800'000,
+                      std::floor(rng.uniform(20.0, 120.0))});
+  }
+  corpus.push_back(encode_chunk(hourly));
+  return corpus;
+}
+
+/// Seeded hostile inputs with a valid checksum: bit flips, truncations and
+/// lies in the count varint. Each must either raise ChunkCorruptError or
+/// decode to exactly the declared count, in non-decreasing time order.
+TEST(ChunkCodec, MutatedChunksAreRejectedOrConsistent) {
+  std::size_t rejected = 0;
+  std::size_t decoded = 0;
+  const auto corpus = codec_corpus();
+  for (std::size_t c = 0; c < corpus.size(); ++c) {
+    const std::string payload = corpus[c].substr(0, corpus[c].size() - 8);
+    std::size_t header = 0;
+    while (static_cast<unsigned char>(payload[header]) & 0x80) ++header;
+    ++header;  // bytes of the count varint
+    for (std::uint64_t trial = 0; trial < 300; ++trial) {
+      util::Rng rng = util::Rng::indexed(0x6d757461 + c, trial);
+      std::string mutated = payload;
+      switch (trial % 3) {
+        case 0: {  // flip 1-3 bits anywhere in the payload
+          const auto flips = rng.uniform_int(1, 3);
+          for (std::int64_t f = 0; f < flips; ++f) {
+            const auto bit = static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(mutated.size()) * 8 - 1));
+            mutated[bit / 8] = static_cast<char>(mutated[bit / 8] ^
+                                                 (0x80 >> (bit % 8)));
+          }
+          break;
+        }
+        case 1:  // truncate
+          mutated.resize(static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(mutated.size()) - 1)));
+          break;
+        default: {  // the count varint lies
+          const std::uint64_t count = ChunkCursor(corpus[c]).count();
+          const std::uint64_t lies[] = {
+              count + 1, count - 1, count + 2, 0, count * 2,
+              static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20)),
+              ~std::uint64_t{0}};
+          mutated = varint(lies[rng.uniform_int(0, 6)]) +
+                    payload.substr(header);
+          break;
+        }
+      }
+      const std::string bytes = reseal(mutated);
+      try {
+        ChunkCursor cursor(bytes);
+        std::vector<Sample> samples;
+        Sample sample;
+        while (cursor.next(sample)) samples.push_back(sample);
+        cursor.expect_end();
+        EXPECT_EQ(samples.size(), cursor.count());
+        EXPECT_TRUE(std::is_sorted(samples.begin(), samples.end(),
+                                   [](const Sample& a, const Sample& b) {
+                                     return a.t_ms < b.t_ms;
+                                   }))
+            << "corpus " << c << " trial " << trial;
+        ++decoded;
+      } catch (const ChunkCorruptError&) {
+        ++rejected;
+      }
+    }
+  }
+  // Both outcomes occur, so neither half of the contract is vacuous.
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 // ===========================================================================
@@ -161,6 +346,32 @@ TEST(SegmentTest, BuildFindAndPersistRoundTrip) {
   EXPECT_EQ(loaded.compressed_bytes, segment.compressed_bytes);
   ASSERT_NE(loaded.find("beta"), nullptr);
   EXPECT_EQ(decode_chunk(loaded.find("beta")->bytes), series["beta"]);
+  fs::remove_all(dir);
+}
+
+/// A chunk whose checksum holds but whose bits do not decode to their end
+/// is rejected when the segment loads, not when a query first reaches the
+/// bad bits.
+TEST(SegmentTest, LoadRejectsChunkWithValidChecksumButMalformedBits) {
+  std::map<std::string, std::vector<Sample>> series;
+  series["alpha"] = ramp(100, 0, 1000, 20.0, 0.1);
+  series["beta"] = ramp(50, 500, 2000, 60.0, -0.2);
+  const fs::path dir = fs::temp_directory_path() / "tero_tsdb_malformed_test";
+  fs::create_directories(dir);
+  const std::string path = (dir / "seg.tkv").string();
+  const std::string good = build_segment(1, 0, series).find("beta")->bytes;
+  const std::string payload = good.substr(0, good.size() - 8);
+  // A stray byte after the last sample, and a stream cut one byte short:
+  // the header (and so the sample count) is intact in both.
+  const std::string stray_byte = reseal(payload + '\0');
+  const std::string cut_short = reseal(payload.substr(0, payload.size() - 1));
+  for (const std::string& bad : {stray_byte, cut_short}) {
+    ASSERT_EQ(ChunkCursor(bad).count(), 50u);
+    Segment segment = build_segment(1, 0, series);
+    segment.chunks[1].bytes = bad;
+    save_segment(segment, path);
+    EXPECT_THROW((void)load_segment(path), std::runtime_error);
+  }
   fs::remove_all(dir);
 }
 
@@ -258,6 +469,101 @@ TEST(StoreTest, SealsCompactsAndAnswersRangeQueries) {
   }
   expect /= 24.0;
   EXPECT_DOUBLE_EQ(means.front().value, expect);
+}
+
+/// Reference answer for range(): every sample of series(), which visits
+/// segments then the head in the same order range() folds them, counted,
+/// summed and fed to one fresh QuantileSketch per window.
+std::vector<RangePoint> brute_range(const TimeSeriesStore& store,
+                                    const RangeQuery& query) {
+  const auto windows = static_cast<std::size_t>(
+      (query.t1_ms - query.t0_ms + query.window_ms - 1) / query.window_ms);
+  std::vector<RangePoint> points(windows);
+  std::vector<double> sums(windows, 0.0);
+  std::vector<obs::QuantileSketch> sketches(windows);
+  for (const Sample& sample : store.series(query.key)) {
+    if (sample.t_ms < query.t0_ms || sample.t_ms >= query.t1_ms) continue;
+    const auto w = static_cast<std::size_t>((sample.t_ms - query.t0_ms) /
+                                            query.window_ms);
+    ++points[w].count;
+    sums[w] += sample.value;
+    sketches[w].add(sample.value);
+  }
+  for (std::size_t w = 0; w < windows; ++w) {
+    points[w].t_ms =
+        query.t0_ms + static_cast<std::int64_t>(w) * query.window_ms;
+    if (points[w].count == 0) continue;
+    switch (query.agg) {
+      case RangeAgg::kCount:
+        points[w].value = static_cast<double>(points[w].count);
+        break;
+      case RangeAgg::kMean:
+        points[w].value = sums[w] / static_cast<double>(points[w].count);
+        break;
+      case RangeAgg::kPercentile:
+        points[w].value = sketches[w].quantile(query.pct / 100.0);
+        break;
+    }
+  }
+  return points;
+}
+
+TEST(StoreTest, RangeMatchesBruteForceBitForBit) {
+  constexpr std::int64_t kHourMs = 3'600'000;
+  TimeSeriesStore store(TsdbConfig{});
+  const std::vector<std::string> keys = {"g|a", "g|b", "g|c"};
+  // 21 sealed days at fanin 4 leave a level-2, a level-1 and a level-0
+  // segment; day 21 stays in the head. Timestamps jitter and repeat, and
+  // values include zeros, negatives and (for one key) NaN.
+  for (int day = 0; day < 22; ++day) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      util::Rng rng = util::Rng::indexed(77, static_cast<std::uint64_t>(day) *
+                                                 10 + k);
+      std::int64_t t = day * kDayMs;
+      while (t < (day + 1) * kDayMs) {
+        double value = std::floor(rng.uniform(-5.0, 90.0));
+        if (k == 2 && rng.bernoulli(0.02)) value = std::nan("");
+        store.append(keys[k], t, value);
+        if (rng.bernoulli(0.8)) t += rng.uniform_int(1, 2 * kHourMs);
+      }
+    }
+    if (day < 21) store.advance_to((day + 1) * kDayMs);
+  }
+  ASSERT_EQ(store.stats().segments, 3u);
+  ASSERT_GT(store.stats().head_samples, 0u);
+
+  const auto same = [](const std::vector<RangePoint>& a,
+                       const std::vector<RangePoint>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(),
+                      [](const RangePoint& x, const RangePoint& y) {
+                        return x.t_ms == y.t_ms && x.count == y.count &&
+                               std::bit_cast<std::uint64_t>(x.value) ==
+                                   std::bit_cast<std::uint64_t>(y.value);
+                      });
+  };
+  util::Rng rng(5);
+  for (int trial = 0; trial < 300; ++trial) {
+    RangeQuery query;
+    query.key = keys[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    const std::int64_t windows[] = {kHourMs, 5 * kHourMs, kDayMs,
+                                    3 * kDayMs, 7 * kDayMs};
+    query.window_ms = windows[rng.uniform_int(0, 4)];
+    query.t0_ms = rng.uniform_int(-kDayMs, 22 * kDayMs);
+    query.t1_ms = query.t0_ms + rng.uniform_int(1, 10 * kDayMs);
+    query.agg = RangeAgg::kCount;
+    EXPECT_TRUE(same(store.range(query), brute_range(store, query)))
+        << "count trial " << trial;
+    query.agg = RangeAgg::kMean;
+    EXPECT_TRUE(same(store.range(query), brute_range(store, query)))
+        << "mean trial " << trial;
+    query.agg = RangeAgg::kPercentile;
+    for (const double pct : {0.0, 50.0, 90.0, 99.0, 100.0}) {
+      query.pct = pct;
+      EXPECT_TRUE(same(store.range(query), brute_range(store, query)))
+          << "p" << pct << " trial " << trial;
+    }
+  }
 }
 
 TEST(StoreTest, RangeCoversHeadAndRejectsBadQueries) {
