@@ -192,7 +192,11 @@ void ablation_cleanup_discard() {
 
 void ablation_ui_crop() {
   bench::header("Ablation D: per-game UI crop vs generic crop");
-  const synth::ThumbnailRenderer renderer;
+  // The generic crop reads outside the rendered game's latency region, so
+  // finish the whole frame.
+  synth::ThumbnailConfig thumbnails;
+  thumbnails.full_frame = true;
+  const synth::ThumbnailRenderer renderer(thumbnails);
   const ocr::LatencyExtractor extractor;
   util::Rng rng(96);
   const auto& cod = ocr::ui_spec_for("Call of Duty Warzone");  // top-left

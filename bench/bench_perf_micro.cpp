@@ -201,16 +201,49 @@ void BM_GlyphNormalize(benchmark::State& state) {
 }
 BENCHMARK(BM_GlyphNormalize)->Arg(1)->Arg(0);
 
-/// One engine's recognize() over a realistic preprocessed crop: glyph
-/// segmentation + normalization + the SoA match loop.
-void ocr_match_bench(benchmark::State& state, std::size_t engine_index) {
+/// A real preprocessed League of Legends latency crop: the binary image
+/// segmentation and the engines see.
+image::GrayImage lol_binary() {
   const auto& spec = ocr::ui_spec_for("League of Legends");
   const synth::ThumbnailRenderer renderer;
   util::Rng rng(23);
   const auto thumbnail =
       renderer.render_with(spec, 87, synth::Corruption::kNone, rng);
-  const auto binary =
-      ocr::preprocess(thumbnail.image.crop(spec.latency_region), {});
+  return ocr::preprocess(thumbnail.image.crop(spec.latency_region), {});
+}
+
+/// One thumbnail render with blur and noise on the latency region only
+/// (what extraction reads) or on the whole frame. Compression is the
+/// dearest mode: it blurs before the noise.
+void BM_ThumbnailRender(benchmark::State& state, bool full_frame) {
+  const auto& spec = ocr::ui_spec_for("League of Legends");
+  synth::ThumbnailConfig config;
+  config.full_frame = full_frame;
+  const synth::ThumbnailRenderer renderer(config);
+  util::Rng rng(29);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        renderer.render_with(spec, 87, synth::Corruption::kCompression, rng));
+  }
+}
+BENCHMARK_CAPTURE(BM_ThumbnailRender, region, false);
+BENCHMARK_CAPTURE(BM_ThumbnailRender, full, true);
+
+/// Glyph segmentation (connected components, merge, normalize) of one
+/// preprocessed crop: the step the extractor runs once per pass for all
+/// three engines.
+void BM_OcrSegment(benchmark::State& state) {
+  const auto binary = lol_binary();
+  stage_loop(state, static_cast<double>(binary.size()), [&] {
+    benchmark::DoNotOptimize(ocr::segment_glyphs(binary));
+  });
+}
+BENCHMARK(BM_OcrSegment)->Arg(1)->Arg(0);
+
+/// One engine's recognize() over a realistic preprocessed crop: glyph
+/// segmentation + normalization + the SoA match loop.
+void ocr_match_bench(benchmark::State& state, std::size_t engine_index) {
+  const auto binary = lol_binary();
   const auto engines = ocr::make_builtin_engines();
   const auto& engine = *engines.at(engine_index);
   stage_loop(state, static_cast<double>(binary.size()), [&] {

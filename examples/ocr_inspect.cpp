@@ -20,7 +20,9 @@ int main(int argc, char** argv) {
   const std::string out_dir = argc > 2 ? argv[2] : "/tmp";
 
   const auto& spec = ocr::ui_spec_for("League of Legends");
-  const synth::ThumbnailRenderer renderer;
+  synth::ThumbnailConfig thumbnails;
+  thumbnails.full_frame = true;  // the PGMs show the whole finished frame
+  const synth::ThumbnailRenderer renderer(thumbnails);
   const ocr::LatencyExtractor extractor;
   util::Rng rng(7);
 

@@ -49,9 +49,10 @@
 #                the per-tick decision log at 1 and 8 threads must be
 #                byte-identical (cmp) for every seed.
 #   perf-smoke   Fast-path gate (DESIGN.md §12, §15): the simd_test
-#                bit-identity suite, the per-stage extraction microbenches
-#                and the tsdb chunk encode/decode and range-query benches
-#                checked against the committed floors in
+#                bit-identity suite, the region-only thumbnail render, the
+#                per-stage extraction microbenches (glyph segmentation
+#                included) and the tsdb chunk encode/decode and range-query
+#                benches checked against the committed floors in
 #                bench/perf_baseline.txt (>15% throughput drop fails), and
 #                a TERO_SIMD=off full-OCR run that must reproduce the
 #                vectorized run's dataset digest exactly.
@@ -368,7 +369,7 @@ run_perf_smoke() {
   (
     cd build/bench
     ./bench_perf_micro \
-      --benchmark_filter='BM_OcrExtract|BM_Img|BM_Glyph|BM_OcrMatch|BM_ChunkEncode|BM_ChunkDecode|BM_TsdbRange' \
+      --benchmark_filter='BM_OcrExtract|BM_Img|BM_Glyph|BM_OcrMatch|BM_OcrSegment|BM_ThumbnailRender|BM_ChunkEncode|BM_ChunkDecode|BM_TsdbRange' \
       --benchmark_min_time=0.05
     # Throughput floors: bench/perf_baseline.txt records the events/s each
     # stage sustained at the commit that last touched the fast path (scaled

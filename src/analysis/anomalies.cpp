@@ -146,6 +146,12 @@ CleanResult clean_streamer_game(std::vector<Stream> streams,
         streams[b].points.empty() ? 0.0 : streams[b].points.front().time_s;
     return ta < tb;
   });
+  // Size the stitch and the retained streams up front: at 10k points these
+  // vectors pass 128 KiB, and growing them re-faults fresh pages every call.
+  std::size_t total = 0;
+  for (const auto& stream : streams) total += stream.points.size();
+  stitched.points.reserve(total);
+  origin.reserve(total);
   for (std::size_t s : order) {
     for (const auto& point : streams[s].points) {
       stitched.points.push_back(point);
@@ -253,6 +259,7 @@ CleanResult clean_streamer_game(std::vector<Stream> streams,
   for (std::size_t s = 0; s < streams.size(); ++s) {
     result.retained[s].streamer = streams[s].streamer;
     result.retained[s].game = streams[s].game;
+    result.retained[s].points.reserve(streams[s].points.size());
   }
   for (const auto& segment : segments) {
     const bool keep = segment.flag == SegmentFlag::kStable ||

@@ -1,6 +1,7 @@
 #include "image/draw.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "image/font.hpp"
 
@@ -42,14 +43,27 @@ int draw_text(GrayImage& img, int x, int y, std::string_view text,
   return cursor;
 }
 
-void add_noise(GrayImage& img, double stddev, util::Rng& rng) {
+void add_noise(GrayImage& img, double stddev, util::Rng& rng,
+               const Rect& region) {
   if (stddev <= 0.0) return;
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      const double noisy = img.at(x, y) + rng.normal(0.0, stddev);
-      img.set(x, y, static_cast<std::uint8_t>(std::clamp(noisy, 0.0, 255.0)));
+  const int w = img.width();
+  const Rect clipped = region.intersect(Rect{0, 0, w, img.height()});
+  std::uint64_t drawn = 0;  // pixels whose draw is consumed, raster order
+  for (int y = clipped.y; y < clipped.y + clipped.h; ++y) {
+    const std::uint64_t first = static_cast<std::uint64_t>(y) * w + clipped.x;
+    rng.skip_normals(first - drawn);
+    std::uint8_t* const pixels = img.row(y) + clipped.x;
+    for (int x = 0; x < clipped.w; ++x) {
+      const double noisy = pixels[x] + rng.normal(0.0, stddev);
+      pixels[x] = static_cast<std::uint8_t>(std::clamp(noisy, 0.0, 255.0));
     }
+    drawn = first + static_cast<std::uint64_t>(clipped.w);
   }
+  rng.skip_normals(img.size() - drawn);
+}
+
+void add_noise(GrayImage& img, double stddev, util::Rng& rng) {
+  add_noise(img, stddev, rng, Rect{0, 0, img.width(), img.height()});
 }
 
 }  // namespace tero::image

@@ -29,7 +29,13 @@ struct TextStyle {
 int draw_text(GrayImage& img, int x, int y, std::string_view text,
               const TextStyle& style);
 
-/// Add iid Gaussian noise to every pixel (clamped to [0, 255]).
+/// Add iid Gaussian noise (clamped to [0, 255]) to the pixels inside
+/// `region`; pixels outside it keep their value. The generator advances as
+/// if every pixel drew its normal in raster order, so a pixel's noise and
+/// every later draw are the same whatever the region.
+void add_noise(GrayImage& img, double stddev, util::Rng& rng,
+               const Rect& region);
+/// Noise on every pixel.
 void add_noise(GrayImage& img, double stddev, util::Rng& rng);
 
 }  // namespace tero::image

@@ -250,6 +250,30 @@ GrayImage gaussian_blur(const GrayImage& img, double sigma, Arena& arena) {
   return out;
 }
 
+void gaussian_blur_inplace(GrayImage& img, double sigma, const Rect& region) {
+  const Rect frame{0, 0, img.width(), img.height()};
+  const Rect target = region.intersect(frame);
+  if (sigma <= 0.0 || target.empty()) return;
+  const BlurKernel kernel = make_blur_kernel(sigma);
+  // Every tap of a target pixel lies within one radius of the target, and
+  // where the margin is cut by the image edge its own clamped border is the
+  // image's: blurring the margin alone gives the target its full-image value.
+  const int r = kernel.radius;
+  const Rect margin =
+      Rect{target.x - r, target.y - r, target.w + 2 * r, target.h + 2 * r}
+          .intersect(frame);
+  Arena& scratch = Arena::thread_local_arena();
+  const Arena::Frame scope(scratch);
+  const GrayImage src = img.crop(margin, scratch);
+  GrayImage out(scratch, margin.w, margin.h);
+  blur_into(src, kernel, out, scratch);
+  for (int y = 0; y < target.h; ++y) {
+    std::memcpy(img.row(target.y + y) + target.x,
+                out.row(target.y - margin.y + y) + (target.x - margin.x),
+                static_cast<std::size_t>(target.w));
+  }
+}
+
 std::uint8_t otsu_threshold(const GrayImage& img) {
   std::uint64_t histogram[256];
   util::simd::histogram_u8(img.data(), img.size(), histogram);
@@ -330,59 +354,74 @@ std::vector<Component> connected_components(const GrayImage& img,
   if (img.empty()) return components;
   const int w = img.width();
   const int h = img.height();
-  std::vector<int> labels(static_cast<std::size_t>(w) * h, -1);
 
-  std::vector<std::pair<int, int>> stack;
-  int next_label = 0;
+  // The foreground runs of each row, each joined by union-find to every run
+  // of the row above that it touches 8-connectedly. A join keeps the smaller
+  // index as root and folds the other set's area and bounds into it, so a
+  // component's root is its first run in raster order and holds all of it.
+  struct Span {
+    int x0, x1;  ///< pixels [x0, x1) of one run
+  };
+  struct Set {
+    int parent, area, x0, x1, y0, y1;  ///< area and bounds valid at a root
+  };
+  std::vector<Span> spans;
+  std::vector<Set> sets;
+  auto find = [&](int i) {
+    while (sets[i].parent != i) {
+      sets[i].parent = sets[sets[i].parent].parent;  // path halving
+      i = sets[i].parent;
+    }
+    return i;
+  };
+  auto join = [&](int root, int other) {
+    Set& into = sets[root];
+    const Set& from = sets[other];
+    into.area += from.area;
+    into.x0 = std::min(into.x0, from.x0);
+    into.x1 = std::max(into.x1, from.x1);
+    into.y1 = std::max(into.y1, from.y1);
+    sets[other].parent = root;
+  };
+  std::size_t above = 0;  // first run of the previous row
   for (int y = 0; y < h; ++y) {
     const std::uint8_t* const row = img.row(y);
-    int* const label_row = labels.data() + static_cast<std::size_t>(y) * w;
+    const std::size_t begin = spans.size();
     int x = 0;
     while (x < w) {
-      // SIMD label scan: skip background 16 pixels per compare — thumbnails
-      // are mostly background after binarization.
-      const std::size_t skip = util::simd::find_eq_u8(
-          row + x, static_cast<std::size_t>(w - x), 255);
-      x += static_cast<int>(skip);
+      // SIMD background skip, 16 pixels per compare: thumbnails are mostly
+      // background after binarization.
+      x += static_cast<int>(util::simd::find_eq_u8(
+          row + x, static_cast<std::size_t>(w - x), 255));
       if (x >= w) break;
-      if (label_row[x] != -1) {
-        ++x;
-        continue;
-      }
-      // Flood fill (8-connected).
-      Component comp;
-      int min_x = x, max_x = x, min_y = y, max_y = y;
-      stack.clear();
-      stack.emplace_back(x, y);
-      label_row[x] = next_label;
-      while (!stack.empty()) {
-        const auto [cx, cy] = stack.back();
-        stack.pop_back();
-        ++comp.area;
-        min_x = std::min(min_x, cx);
-        max_x = std::max(max_x, cx);
-        min_y = std::min(min_y, cy);
-        max_y = std::max(max_y, cy);
-        for (int dy = -1; dy <= 1; ++dy) {
-          const int ny = cy + dy;
-          if (ny < 0 || ny >= h) continue;
-          const std::uint8_t* const nrow = img.row(ny);
-          int* const nlabels = labels.data() + static_cast<std::size_t>(ny) * w;
-          for (int dx = -1; dx <= 1; ++dx) {
-            const int nx = cx + dx;
-            if (nx < 0 || nx >= w) continue;
-            if (nrow[nx] == 255 && nlabels[nx] == -1) {
-              nlabels[nx] = next_label;
-              stack.emplace_back(nx, ny);
-            }
-          }
+      const int x0 = x;
+      while (x < w && row[x] == 255) ++x;
+      int root = static_cast<int>(sets.size());
+      spans.push_back(Span{x0, x});
+      sets.push_back(Set{root, x - x0, x0, x, y, y});
+      // Runs above touching [x0 - 1, x]; `above` only moves past runs that
+      // end left of this one, so the next run still sees its neighbours.
+      while (above < begin && spans[above].x1 < x0) ++above;
+      for (std::size_t j = above; j < begin && spans[j].x0 <= x; ++j) {
+        const int a = find(static_cast<int>(j));
+        if (a < root) {
+          join(a, root);
+          root = a;
+        } else if (root < a) {
+          join(root, a);
         }
       }
-      comp.bounds = Rect{min_x, min_y, max_x - min_x + 1, max_y - min_y + 1};
-      if (comp.area >= min_area) components.push_back(comp);
-      ++next_label;
-      ++x;
     }
+    above = begin;
+  }
+
+  // Roots in index order: the order a raster-scan flood fill discovers the
+  // components in.
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const Set& set = sets[i];
+    if (set.parent != static_cast<int>(i) || set.area < min_area) continue;
+    components.push_back(Component{
+        Rect{set.x0, set.y0, set.x1 - set.x0, set.y1 - set.y0 + 1}, set.area});
   }
   std::sort(components.begin(), components.end(),
             [](const Component& a, const Component& b) {

@@ -21,6 +21,10 @@ namespace tero::image {
 [[nodiscard]] GrayImage gaussian_blur(const GrayImage& img, double sigma);
 [[nodiscard]] GrayImage gaussian_blur(const GrayImage& img, double sigma,
                                       Arena& arena);
+/// Blur only the pixels inside `region`, in place: each gets the value the
+/// whole-image gaussian_blur gives it, and pixels outside keep theirs. The
+/// work covers the region plus a one-kernel-radius margin, not the image.
+void gaussian_blur_inplace(GrayImage& img, double sigma, const Rect& region);
 
 /// Otsu's global threshold [40]: the gray level that maximizes between-class
 /// variance of the histogram.

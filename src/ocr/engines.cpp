@@ -14,7 +14,6 @@ namespace {
 
 namespace simd = util::simd;
 
-constexpr int kGlyphGrid = 16;                    ///< normalized resolution
 constexpr int kGridCells = kGlyphGrid * kGlyphGrid;
 
 /// Render a font character to a clean binary raster and normalize it onto
@@ -76,36 +75,6 @@ const PrototypeBank& prototype_bank() {
   return bank;
 }
 
-/// Glyph segmentation shared by all engines: connected components, merged
-/// when their x-ranges overlap (multi-part glyphs), sorted left-to-right.
-std::vector<image::Rect> segment_glyphs(const image::GrayImage& binary) {
-  const int min_area = std::max(4, binary.width() * binary.height() / 2000);
-  auto components = image::connected_components(binary, min_area);
-  std::vector<image::Rect> boxes;
-  for (const auto& comp : components) {
-    bool merged = false;
-    for (auto& box : boxes) {
-      const int overlap = std::min(box.x + box.w, comp.bounds.x + comp.bounds.w) -
-                          std::max(box.x, comp.bounds.x);
-      if (overlap > std::min(box.w, comp.bounds.w) / 2) {
-        const int x1 = std::min(box.x, comp.bounds.x);
-        const int y1 = std::min(box.y, comp.bounds.y);
-        const int x2 =
-            std::max(box.x + box.w, comp.bounds.x + comp.bounds.w);
-        const int y2 =
-            std::max(box.y + box.h, comp.bounds.y + comp.bounds.h);
-        box = image::Rect{x1, y1, x2 - x1, y2 - y1};
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) boxes.push_back(comp.bounds);
-  }
-  std::sort(boxes.begin(), boxes.end(),
-            [](const image::Rect& a, const image::Rect& b) { return a.x < b.x; });
-  return boxes;
-}
-
 /// Template-matching engine ("templat", Tesseract-like): normalized
 /// correlation against rendered prototypes. Strong on clean input, brittle
 /// under noise/partial occlusion — it misses more than the other two, like
@@ -114,20 +83,19 @@ class TemplateEngine final : public OcrEngine {
  public:
   [[nodiscard]] std::string name() const override { return "templat"; }
 
-  [[nodiscard]] OcrOutput recognize(
-      const image::GrayImage& binary) const override {
+  [[nodiscard]] OcrOutput classify(
+      std::span<const Glyph> glyphs) const override {
     const PrototypeBank& bank = prototype_bank();
     OcrOutput out;
-    alignas(16) std::array<float, kGridCells> grid;
-    for (const auto& box : segment_glyphs(binary)) {
-      image::normalize_glyph(binary, box, kGlyphGrid, grid);
+    for (const Glyph& glyph : glyphs) {
+      const float* const grid = glyph.grid.data();
       // The query's squared norm is proto-invariant: hoist it out of the
       // match loop (the old per-prototype recomputation was pure waste).
-      const float na = simd::dot_f32(grid.data(), grid.data(), kGridCells);
+      const float na = simd::dot_f32(grid, grid, kGridCells);
       char best_char = '?';
       double best_score = -1.0;
       for (std::size_t i = 0; i < bank.count(); ++i) {
-        const float dot = simd::dot_f32(grid.data(), bank.grid(i), kGridCells);
+        const float dot = simd::dot_f32(grid, bank.grid(i), kGridCells);
         const double denom = std::sqrt(static_cast<double>(na) *
                                        static_cast<double>(bank.norms[i]));
         const double score = denom > 0.0 ? dot / denom : 0.0;
@@ -138,7 +106,7 @@ class TemplateEngine final : public OcrEngine {
       }
       // Strict acceptance threshold: rejects degraded glyphs outright.
       if (best_score < 0.86) continue;
-      out.chars.push_back(CharMatch{best_char, best_score, box});
+      out.chars.push_back(CharMatch{best_char, best_score, glyph.box});
       out.text += best_char;
     }
     return out;
@@ -197,17 +165,16 @@ class ZoningEngine final : public OcrEngine {
 
   [[nodiscard]] std::string name() const override { return "zonenet"; }
 
-  [[nodiscard]] OcrOutput recognize(
-      const image::GrayImage& binary) const override {
+  [[nodiscard]] OcrOutput classify(
+      std::span<const Glyph> glyphs) const override {
     const PrototypeBank& bank = prototype_bank();
     OcrOutput out;
-    alignas(16) std::array<float, kGridCells> grid;
     alignas(16) std::array<float, kZoneFeatures> feats;
-    for (const auto& box : segment_glyphs(binary)) {
-      image::normalize_glyph(binary, box, kGlyphGrid, grid);
+    for (const Glyph& glyph : glyphs) {
+      const image::Rect& box = glyph.box;
       const double aspect =
           box.h > 0 ? static_cast<double>(box.w) / box.h : 1.0;
-      features_of(grid.data(), aspect, feats);
+      features_of(glyph.grid.data(), aspect, feats);
       char best_char = '?';
       float best_distance = std::numeric_limits<float>::infinity();
       for (std::size_t i = 0; i < bank.count(); ++i) {
@@ -266,15 +233,13 @@ class ProjectionEngine final : public OcrEngine {
 
   [[nodiscard]] std::string name() const override { return "profiler"; }
 
-  [[nodiscard]] OcrOutput recognize(
-      const image::GrayImage& binary) const override {
+  [[nodiscard]] OcrOutput classify(
+      std::span<const Glyph> glyphs) const override {
     const PrototypeBank& bank = prototype_bank();
     OcrOutput out;
-    alignas(16) std::array<float, kGridCells> grid;
     alignas(16) std::array<float, kProfileBins> prof;
-    for (const auto& box : segment_glyphs(binary)) {
-      image::normalize_glyph(binary, box, kGlyphGrid, grid);
-      profile_of(grid.data(), prof);
+    for (const Glyph& glyph : glyphs) {
+      profile_of(glyph.grid.data(), prof);
       char best_char = '?';
       float best_distance = std::numeric_limits<float>::infinity();
       for (std::size_t i = 0; i < bank.count(); ++i) {
@@ -287,7 +252,7 @@ class ProjectionEngine final : public OcrEngine {
       }
       const double confidence = 1.0 / (1.0 + static_cast<double>(best_distance));
       if (confidence < 0.18) continue;
-      out.chars.push_back(CharMatch{best_char, confidence, box});
+      out.chars.push_back(CharMatch{best_char, confidence, glyph.box});
       out.text += best_char;
     }
     return out;
@@ -298,6 +263,38 @@ class ProjectionEngine final : public OcrEngine {
 };
 
 }  // namespace
+
+std::vector<Glyph> segment_glyphs(const image::GrayImage& binary) {
+  const int min_area = std::max(4, binary.width() * binary.height() / 2000);
+  std::vector<image::Rect> boxes;
+  for (const auto& comp : image::connected_components(binary, min_area)) {
+    bool merged = false;
+    for (auto& box : boxes) {
+      const int overlap = std::min(box.x + box.w, comp.bounds.x + comp.bounds.w) -
+                          std::max(box.x, comp.bounds.x);
+      if (overlap > std::min(box.w, comp.bounds.w) / 2) {
+        const int x1 = std::min(box.x, comp.bounds.x);
+        const int y1 = std::min(box.y, comp.bounds.y);
+        const int x2 =
+            std::max(box.x + box.w, comp.bounds.x + comp.bounds.w);
+        const int y2 =
+            std::max(box.y + box.h, comp.bounds.y + comp.bounds.h);
+        box = image::Rect{x1, y1, x2 - x1, y2 - y1};
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) boxes.push_back(comp.bounds);
+  }
+  std::sort(boxes.begin(), boxes.end(),
+            [](const image::Rect& a, const image::Rect& b) { return a.x < b.x; });
+  std::vector<Glyph> glyphs(boxes.size());
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    glyphs[i].box = boxes[i];
+    image::normalize_glyph(binary, boxes[i], kGlyphGrid, glyphs[i].grid);
+  }
+  return glyphs;
+}
 
 std::vector<std::unique_ptr<OcrEngine>> make_builtin_engines() {
   std::vector<std::unique_ptr<OcrEngine>> engines;

@@ -131,10 +131,12 @@ LatencyReading LatencyExtractor::extract(const image::GrayImage& thumbnail,
   image::Arena::Frame frame(arena);
   const image::GrayImage crop = thumbnail.crop(spec.latency_region, arena);
 
+  // One segmentation per pass, classified by all three engines.
   auto run = [&](const image::GrayImage& prepared) {
+    const std::vector<Glyph> glyphs = segment_glyphs(prepared);
     std::array<std::optional<int>, 3> values;
     for (std::size_t i = 0; i < engines_.size(); ++i) {
-      values[i] = cleanup(engines_[i]->recognize(prepared), spec);
+      values[i] = cleanup(engines_[i]->classify(glyphs), spec);
     }
     return vote(std::span<const std::optional<int>>{values});
   };

@@ -29,8 +29,9 @@ struct LatencyReading {
 };
 
 /// The image-processing module: crops the game's latency region, runs the
-/// App. E pre-processing, feeds all three OCR engines, cleans each output
-/// with game-specific heuristics, and votes.
+/// App. E pre-processing, segments the glyphs once and has all three OCR
+/// engines classify them, cleans each output with game-specific heuristics,
+/// and votes.
 class LatencyExtractor {
  public:
   explicit LatencyExtractor(PreprocessConfig config = {});

@@ -24,6 +24,14 @@ void draw_scene(image::GrayImage& img, util::Rng& rng) {
   }
 }
 
+/// The pixels the blur and the noise finish.
+image::Rect finish_area(const ThumbnailConfig& config,
+                        const ocr::GameUiSpec& spec) {
+  return config.full_frame
+             ? image::Rect{0, 0, ocr::kThumbnailWidth, ocr::kThumbnailHeight}
+             : spec.latency_region;
+}
+
 }  // namespace
 
 Corruption roll_corruption(const ThumbnailConfig& config, util::Rng& rng) {
@@ -50,7 +58,8 @@ RenderedThumbnail ThumbnailRenderer::render(const ocr::GameUiSpec& spec,
     RenderedThumbnail out;
     out.image = image::GrayImage(ocr::kThumbnailWidth, ocr::kThumbnailHeight);
     draw_scene(out.image, rng);
-    image::add_noise(out.image, config_.base_noise_sd, rng);
+    image::add_noise(out.image, config_.base_noise_sd, rng,
+                     finish_area(config_, spec));
     out.latency_visible = false;
     return out;
   }
@@ -105,17 +114,19 @@ RenderedThumbnail ThumbnailRenderer::render_with(const ocr::GameUiSpec& spec,
     out.image.fill_rect(occluder, panel);
   }
 
+  const image::Rect finish = finish_area(config_, spec);
   if (corruption == Corruption::kCompression) {
-    // Low-bitrate encode: the whole frame is softened, merging the tiny
-    // latency glyphs — the degradation that makes out-of-the-box OCR fail.
-    out.image = image::gaussian_blur(
-        out.image, rng.uniform(config_.compression_blur_min,
-                               config_.compression_blur_max));
+    // Low-bitrate encode: the frame is softened, merging the tiny latency
+    // glyphs — the degradation that makes out-of-the-box OCR fail.
+    image::gaussian_blur_inplace(
+        out.image,
+        rng.uniform(config_.compression_blur_min, config_.compression_blur_max),
+        finish);
   }
   const double noise_sd = corruption == Corruption::kHeavyNoise
                               ? config_.heavy_noise_sd
                               : config_.base_noise_sd;
-  image::add_noise(out.image, noise_sd, rng);
+  image::add_noise(out.image, noise_sd, rng, finish);
   return out;
 }
 

@@ -35,6 +35,11 @@ struct ThumbnailConfig {
   double heavy_noise_sd = 32.0;
   double compression_blur_min = 0.70;
   double compression_blur_max = 1.00;
+  /// Apply the compression blur and the sensor noise to the whole frame.
+  /// By default they finish only the game's latency region, the one part
+  /// extraction reads: its pixels and every later draw are the same either
+  /// way. Set this to look at the frame (examples/ocr_inspect).
+  bool full_frame = false;
 };
 
 /// Draw one corruption mode from the config's conditional mix.
@@ -51,6 +56,8 @@ struct RenderedThumbnail {
 /// and the latency text per the game's GameUiSpec — then applies the
 /// corruption mix. This is the stand-in for real Twitch thumbnails; the
 /// image-processing module consumes it through the identical code path.
+/// Unless ThumbnailConfig::full_frame is set, blur and noise are applied to
+/// the latency region only, and the rest of the frame is left unfinished.
 class ThumbnailRenderer {
  public:
   explicit ThumbnailRenderer(ThumbnailConfig config = {})

@@ -87,6 +87,23 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
+void Rng::skip_normals(std::uint64_t n) noexcept {
+  if (n > 0 && have_cached_normal_) {
+    have_cached_normal_ = false;
+    --n;
+  }
+  // The draws normal() makes for one pair: u1 with its rejection, then u2.
+  for (; n >= 2; n -= 2) {
+    double u1 = 0.0;
+    do {
+      u1 = uniform();
+    } while (u1 <= 0.0);
+    (void)uniform();
+  }
+  // An odd last draw leaves the pair's sine half cached: compute it in full.
+  if (n == 1) (void)normal();
+}
+
 double Rng::exponential(double rate) noexcept {
   double u;
   do {

@@ -52,6 +52,10 @@ class Rng {
   double normal() noexcept;
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) noexcept;
+  /// Leave the generator exactly as `n` calls to normal() would, without
+  /// computing the values: each skipped Box-Muller pair costs its two
+  /// uniform draws and no log/sqrt/sin/cos.
+  void skip_normals(std::uint64_t n) noexcept;
   /// Exponential with given rate (mean 1/rate).
   double exponential(double rate) noexcept;
   /// Poisson-distributed count with given mean (Knuth for small, normal

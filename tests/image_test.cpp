@@ -1,13 +1,77 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "image/draw.hpp"
 #include "image/font.hpp"
 #include "image/image.hpp"
 #include "image/ops.hpp"
+#include "ocr/game_ui.hpp"
+#include "ocr/preprocess.hpp"
+#include "synth/thumbnail.hpp"
 #include "util/rng.hpp"
 
 namespace tero::image {
 namespace {
+
+/// The per-pixel 8-connected flood fill connected_components used before
+/// it labelled row runs: components in the order the raster scan meets
+/// their first pixel, small ones dropped, then the same std::sort by x.
+std::vector<Component> flood_fill_components(const GrayImage& img,
+                                             int min_area) {
+  std::vector<Component> components;
+  if (img.empty()) return components;
+  const int w = img.width();
+  const int h = img.height();
+  std::vector<int> labels(static_cast<std::size_t>(w) * h, -1);
+  std::vector<std::pair<int, int>> stack;
+  int next_label = 0;
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      if (img.at(x, y) != 255 ||
+          labels[static_cast<std::size_t>(y) * w + x] != -1) {
+        continue;
+      }
+      Component comp;
+      int min_x = x, max_x = x, min_y = y, max_y = y;
+      stack.clear();
+      stack.emplace_back(x, y);
+      labels[static_cast<std::size_t>(y) * w + x] = next_label;
+      while (!stack.empty()) {
+        const auto [cx, cy] = stack.back();
+        stack.pop_back();
+        ++comp.area;
+        min_x = std::min(min_x, cx);
+        max_x = std::max(max_x, cx);
+        min_y = std::min(min_y, cy);
+        max_y = std::max(max_y, cy);
+        for (int dy = -1; dy <= 1; ++dy) {
+          const int ny = cy + dy;
+          if (ny < 0 || ny >= h) continue;
+          for (int dx = -1; dx <= 1; ++dx) {
+            const int nx = cx + dx;
+            if (nx < 0 || nx >= w) continue;
+            int& label = labels[static_cast<std::size_t>(ny) * w + nx];
+            if (img.at(nx, ny) == 255 && label == -1) {
+              label = next_label;
+              stack.emplace_back(nx, ny);
+            }
+          }
+        }
+      }
+      comp.bounds = Rect{min_x, min_y, max_x - min_x + 1, max_y - min_y + 1};
+      if (comp.area >= min_area) components.push_back(comp);
+      ++next_label;
+    }
+  }
+  std::sort(components.begin(), components.end(),
+            [](const Component& a, const Component& b) {
+              return a.bounds.x < b.bounds.x;
+            });
+  return components;
+}
 
 TEST(GrayImage, ConstructionAndFill) {
   GrayImage img(10, 5, 7);
@@ -196,6 +260,94 @@ TEST(Ops, ConnectedComponentsUses8Connectivity) {
   img.set(0, 0, 255);
   img.set(1, 1, 255);  // diagonal neighbour
   EXPECT_EQ(connected_components(img).size(), 1u);
+}
+
+/// Same components, fields and order as the flood fill, for every min_area
+/// in 1..6.
+void expect_matches_flood_fill(const GrayImage& img, const char* what) {
+  for (int min_area = 1; min_area <= 6; ++min_area) {
+    const auto got = connected_components(img, min_area);
+    const auto want = flood_fill_components(img, min_area);
+    ASSERT_EQ(got.size(), want.size()) << what << " min_area " << min_area;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].area, want[i].area) << what << " component " << i;
+      ASSERT_EQ(got[i].bounds.x, want[i].bounds.x) << what << " component " << i;
+      ASSERT_EQ(got[i].bounds.y, want[i].bounds.y) << what << " component " << i;
+      ASSERT_EQ(got[i].bounds.w, want[i].bounds.w) << what << " component " << i;
+      ASSERT_EQ(got[i].bounds.h, want[i].bounds.h) << what << " component " << i;
+    }
+  }
+}
+
+TEST(ConnectedComponents, MatchFloodFillReference) {
+  util::Rng rng(31);
+  // Seeded random binaries, 1x1 up to 120x60, 0-100% ink; non-255 values
+  // (1, 128, 254) are background.
+  const std::pair<int, int> corners[] = {{1, 1}, {120, 60}, {1, 60}, {120, 1}};
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool corner = trial < 4 * 11;
+    const int w = corner ? corners[trial % 4].first
+                         : static_cast<int>(rng.uniform_int(1, 120));
+    const int h = corner ? corners[trial % 4].second
+                         : static_cast<int>(rng.uniform_int(1, 60));
+    const double ink = corner ? (trial / 4) / 10.0 : rng.uniform();
+    const bool grey = trial % 3 == 0;
+    GrayImage img(w, h, 0);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        if (rng.bernoulli(ink)) {
+          img.set(x, y, 255);
+        } else if (grey) {
+          const std::uint8_t background[] = {0, 1, 128, 254};
+          img.set(x, y, background[rng.uniform_int(0, 3)]);
+        }
+      }
+    }
+    expect_matches_flood_fill(img, "random");
+  }
+
+  // Shapes that touch only at corners: diagonals, a checkerboard, and
+  // staircases that split and merge across rows.
+  GrayImage diagonals(40, 30, 0);
+  for (int i = 0; i < 30; ++i) {
+    diagonals.set(i, i, 255);
+    diagonals.set(39 - i, i, 255);
+    if (i % 4 == 0) diagonals.set((i + 20) % 40, 29 - i, 255);
+  }
+  expect_matches_flood_fill(diagonals, "diagonals");
+  GrayImage checker(33, 17, 0);
+  for (int y = 0; y < 17; ++y) {
+    for (int x = 0; x < 33; ++x) {
+      if ((x + y) % 2 == 0) checker.set(x, y, 255);
+    }
+  }
+  expect_matches_flood_fill(checker, "checkerboard");
+  GrayImage stairs(48, 24, 0);
+  for (int y = 0; y < 24; ++y) {
+    stairs.fill_rect(Rect{2 * y, y, 2, 1}, 255);       // corner-joined steps
+    stairs.fill_rect(Rect{47 - 2 * y, y, 1, 1}, 255);  // one-pixel gaps
+    if (y % 6 == 0) stairs.fill_rect(Rect{0, y, 48, 1}, 255);
+  }
+  expect_matches_flood_fill(stairs, "staircases");
+
+  // Real crops after both preprocessing chains.
+  const synth::ThumbnailRenderer renderer;
+  const auto specs = ocr::all_ui_specs();
+  const synth::Corruption corruptions[] = {
+      synth::Corruption::kNone,        synth::Corruption::kOcclusion,
+      synth::Corruption::kLowContrast, synth::Corruption::kClock,
+      synth::Corruption::kHeavyNoise,  synth::Corruption::kCompression,
+  };
+  for (std::size_t i = 0; i < 60; ++i) {
+    const ocr::GameUiSpec& spec = specs[i % specs.size()];
+    const auto rendered = renderer.render_with(
+        spec, static_cast<int>(rng.uniform_int(5, 400)), corruptions[i % 6],
+        rng);
+    const GrayImage crop = rendered.image.crop(spec.latency_region);
+    expect_matches_flood_fill(ocr::preprocess(crop), "preprocess");
+    expect_matches_flood_fill(ocr::preprocess_minimal(crop),
+                              "preprocess_minimal");
+  }
 }
 
 TEST(Ops, NormalizeGlyphDensities) {

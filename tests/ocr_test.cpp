@@ -200,6 +200,43 @@ TEST(Extractor, SingleEngineAccessibleForTable4) {
   EXPECT_GE(hits, 2);  // at least two engines read a clean render
 }
 
+// Every reading field, for seeded renders over all games and corruption
+// modes, hashed and pinned: segmentation, the engines, the vote and the
+// reprocess path must keep reading thumbnails exactly as before.
+TEST(Extractor, ReadingsArePinned) {
+  const synth::ThumbnailRenderer renderer;
+  const LatencyExtractor extractor;
+  const auto specs = all_ui_specs();
+  const synth::Corruption corruptions[] = {
+      synth::Corruption::kNone,        synth::Corruption::kOcclusion,
+      synth::Corruption::kLowContrast, synth::Corruption::kClock,
+      synth::Corruption::kHeavyNoise,  synth::Corruption::kCompression,
+  };
+  std::string fields;
+  int reprocessed = 0;
+  int ambiguous = 0;
+  int alternatives = 0;
+  for (std::size_t i = 0; i < 300; ++i) {
+    util::Rng rng = util::Rng::indexed(2023, i);
+    const GameUiSpec& spec = specs[i % specs.size()];
+    const auto corruption = corruptions[(i / specs.size()) % 6];
+    const int truth = static_cast<int>(rng.uniform_int(5, 400));
+    const auto rendered = renderer.render_with(spec, truth, corruption, rng);
+    const LatencyReading reading = extractor.extract(rendered.image, spec);
+    fields += std::to_string(reading.primary.value_or(-1)) + ',' +
+              std::to_string(reading.alternative.value_or(-1)) + ',' +
+              (reading.ambiguous ? '1' : '0') +
+              (reading.reprocessed ? '1' : '0') + ';';
+    reprocessed += reading.reprocessed ? 1 : 0;
+    ambiguous += reading.ambiguous ? 1 : 0;
+    alternatives += reading.alternative.has_value() ? 1 : 0;
+  }
+  EXPECT_GT(reprocessed, 0);
+  EXPECT_GT(ambiguous, 0);
+  EXPECT_GT(alternatives, 0);
+  EXPECT_EQ(util::fnv1a64(fields), 0x7aa18a38bddab496ULL);
+}
+
 TEST(Extractor, EmptyPanelYieldsMiss) {
   const GameUiSpec& spec = ui_spec_for("League of Legends");
   LatencyExtractor extractor;

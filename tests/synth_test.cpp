@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "synth/latency_model.hpp"
 #include "synth/sessions.hpp"
@@ -230,6 +232,65 @@ TEST(Thumbnail, VisibilityRateHonored) {
     if (renderer.render(spec, 50, rng).latency_visible) ++visible;
   }
   EXPECT_NEAR(visible / 1000.0, 0.35, 0.05);
+}
+
+TEST(Thumbnail, RegionRenderMatchesFullFrameInsideRegion) {
+  ThumbnailConfig full_config;
+  full_config.full_frame = true;
+  const ThumbnailRenderer region_renderer;
+  const ThumbnailRenderer full_renderer(full_config);
+  std::vector<const ocr::GameUiSpec*> specs;
+  for (const auto& spec : ocr::all_ui_specs()) specs.push_back(&spec);
+  specs.push_back(&ocr::ui_spec_for("a game without a spec"));
+  // Every built-in region has an even x and width, so no skip ever starts
+  // or ends on a cached spare; an odd x with an even width makes both
+  // happen.
+  const ocr::GameUiSpec odd{"odd", {213, 7, 100, 21}, "", "ms", 2};
+  specs.push_back(&odd);
+  const Corruption corruptions[] = {
+      Corruption::kNone,        Corruption::kOcclusion,
+      Corruption::kLowContrast, Corruption::kClock,
+      Corruption::kHeavyNoise,  Corruption::kCompression,
+  };
+  for (const ocr::GameUiSpec* spec : specs) {
+    const image::Rect& region = spec->latency_region;
+    for (const Corruption corruption : corruptions) {
+      for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        util::Rng a(seed);
+        util::Rng b(seed);
+        const auto part = region_renderer.render_with(
+            *spec, static_cast<int>(5 + 19 * seed), corruption, a);
+        const auto full = full_renderer.render_with(
+            *spec, static_cast<int>(5 + 19 * seed), corruption, b);
+        ASSERT_TRUE(part.image.crop(region) == full.image.crop(region))
+            << spec->game << " corruption " << static_cast<int>(corruption)
+            << " seed " << seed;
+        ASSERT_EQ(a.next_u64(), b.next_u64())
+            << spec->game << " corruption " << static_cast<int>(corruption)
+            << " seed " << seed;
+      }
+    }
+  }
+  // render()'s branch without a measurement on screen.
+  ThumbnailConfig hidden;
+  hidden.p_latency_visible = 0.0;
+  ThumbnailConfig hidden_full = hidden;
+  hidden_full.full_frame = true;
+  const ThumbnailRenderer hidden_region_renderer(hidden);
+  const ThumbnailRenderer hidden_full_renderer(hidden_full);
+  for (const ocr::GameUiSpec* spec : specs) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      util::Rng a(seed);
+      util::Rng b(seed);
+      const auto part = hidden_region_renderer.render(*spec, 50, a);
+      const auto full = hidden_full_renderer.render(*spec, 50, b);
+      ASSERT_FALSE(part.latency_visible);
+      ASSERT_TRUE(part.image.crop(spec->latency_region) ==
+                  full.image.crop(spec->latency_region))
+          << spec->game << " seed " << seed;
+      ASSERT_EQ(a.next_u64(), b.next_u64()) << spec->game << " seed " << seed;
+    }
+  }
 }
 
 TEST(Thumbnail, CorruptionModesDistinct) {

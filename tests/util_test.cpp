@@ -65,6 +65,25 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sq / kN, 1.0, 0.05);
 }
 
+TEST(Rng, SkipNormalsMatchesRepeatedNormal) {
+  for (const std::uint64_t n : {0u, 1u, 2u, 3u, 57600u}) {
+    for (const bool spare : {false, true}) {
+      Rng reference(1000 + n);
+      // An odd number of normal() calls leaves the pair's sine half cached.
+      if (spare) (void)reference.normal();
+      Rng skipped = reference;
+      for (std::uint64_t i = 0; i < n; ++i) (void)reference.normal();
+      skipped.skip_normals(n);
+      for (int i = 0; i < 64; ++i) {
+        ASSERT_EQ(skipped.next_u64(), reference.next_u64())
+            << "n=" << n << " spare=" << spare << " draw " << i;
+      }
+      EXPECT_EQ(skipped.normal(), reference.normal())
+          << "n=" << n << " spare=" << spare;
+    }
+  }
+}
+
 TEST(Rng, ExponentialMean) {
   Rng rng(13);
   double sum = 0.0;
