@@ -148,6 +148,16 @@ void BM_ImgInvert(benchmark::State& state) {
 }
 BENCHMARK(BM_ImgInvert)->Arg(1)->Arg(0);
 
+void BM_ImgUpscale(benchmark::State& state) {
+  // A 100x22 latency crop, upscaled 4x as preprocess does: the 400x88 shape
+  // the blur then sees. Bytes counted are output pixels.
+  const image::GrayImage crop = stage_gray().crop(image::Rect{0, 0, 100, 22});
+  stage_loop(state, 16.0 * static_cast<double>(crop.size()), [&] {
+    benchmark::DoNotOptimize(image::upscale_bilinear(crop, 4));
+  });
+}
+BENCHMARK(BM_ImgUpscale)->Arg(1)->Arg(0);
+
 void BM_ImgBlur(benchmark::State& state) {
   const image::GrayImage img = stage_gray();
   stage_loop(state, static_cast<double>(img.size()), [&] {

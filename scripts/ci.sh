@@ -49,7 +49,9 @@
 #                the per-tick decision log at 1 and 8 threads must be
 #                byte-identical (cmp) for every seed.
 #   perf-smoke   Fast-path gate (DESIGN.md §12, §15): the simd_test
-#                bit-identity suite, the region-only thumbnail render, the
+#                bit-identity suite and image_test (the blur and upscale
+#                against their per-pixel references), the region-only
+#                thumbnail render, the
 #                per-stage extraction microbenches (glyph segmentation
 #                included) and the tsdb chunk encode/decode and range-query
 #                benches checked against the committed floors in
@@ -362,10 +364,13 @@ run_control_smoke() {
 run_perf_smoke() {
   cmake --preset default
   cmake --build --preset default -j "$(nproc)" \
-    --target bench_perf_micro simd_test tero_cli
+    --target bench_perf_micro simd_test image_test tero_cli
   # Scalar-vs-SIMD bit-identity across every vectorized kernel (randomized
-  # images, odd widths, tail lanes) — the determinism half of the contract.
+  # images, odd widths, tail lanes) — the determinism half of the contract —
+  # and every blur and upscale output bit against the per-pixel formula, so
+  # the floors below only ever time a fast path that reads as before.
   ./build/tests/simd_test
+  ./build/tests/image_test
   (
     cd build/bench
     ./bench_perf_micro \

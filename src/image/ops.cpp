@@ -22,40 +22,51 @@ template <typename T>
 // upscale
 // ---------------------------------------------------------------------------
 
-/// Bilinear sampling with per-axis coefficients hoisted out of the pixel
-/// loop: source indices and fractional weights depend on one axis only, so
-/// they are computed once per row/column instead of once per pixel. The
-/// per-pixel arithmetic (and therefore the output) is unchanged.
+/// Bilinear sampling, separated: each source row is widened to f64 once and
+/// interpolated across x once (source indices and weights depend on x
+/// only), into a two-row ring keyed by source row; each output row blends
+/// its two ring rows. Every output pixel keeps the per-pixel formula's
+/// products, add order, clamp and truncation.
 void upscale_into(const GrayImage& img, int factor, GrayImage& out,
                   Arena& scratch) {
+  const int in_w = img.width();
   const int out_w = out.width();
-  const int out_h = out.height();
-  int* const x0s = scratch_array<int>(scratch, static_cast<std::size_t>(out_w));
-  int* const x1s = scratch_array<int>(scratch, static_cast<std::size_t>(out_w));
-  double* const fxs =
-      scratch_array<double>(scratch, static_cast<std::size_t>(out_w));
+  const std::size_t n = static_cast<std::size_t>(out_w);
+  int* const x0s = scratch_array<int>(scratch, n);
+  int* const x1s = scratch_array<int>(scratch, n);
+  double* const fxs = scratch_array<double>(scratch, n);
+  double* const gxs = scratch_array<double>(scratch, n);  // 1 - fx
   for (int x = 0; x < out_w; ++x) {
     const double sx = (x + 0.5) / factor - 0.5;
-    x0s[x] = std::clamp(static_cast<int>(std::floor(sx)), 0, img.width() - 1);
-    x1s[x] = std::min(x0s[x] + 1, img.width() - 1);
+    x0s[x] = std::clamp(static_cast<int>(std::floor(sx)), 0, in_w - 1);
+    x1s[x] = std::min(x0s[x] + 1, in_w - 1);
     fxs[x] = std::clamp(sx - x0s[x], 0.0, 1.0);
+    gxs[x] = 1 - fxs[x];
   }
-  for (int y = 0; y < out_h; ++y) {
+  double* const src =
+      scratch_array<double>(scratch, static_cast<std::size_t>(in_w));
+  double* const ring = scratch_array<double>(scratch, 2 * n);
+  int held[2] = {-1, -1};  // the source row in each ring slot
+  const auto interpolated = [&](int sy) {
+    double* const dst = ring + static_cast<std::size_t>(sy & 1) * n;
+    if (held[sy & 1] != sy) {
+      simd::widen_u8_f64(img.row(sy), static_cast<std::size_t>(in_w), src);
+      for (int x = 0; x < out_w; ++x) {
+        dst[x] = src[x0s[x]] * gxs[x] + src[x1s[x]] * fxs[x];
+      }
+      held[sy & 1] = sy;
+    }
+    return dst;
+  };
+  for (int y = 0; y < out.height(); ++y) {
     const double sy = (y + 0.5) / factor - 0.5;
     const int y0 = std::clamp(static_cast<int>(std::floor(sy)), 0,
                               img.height() - 1);
     const int y1 = std::min(y0 + 1, img.height() - 1);
     const double fy = std::clamp(sy - y0, 0.0, 1.0);
-    const std::uint8_t* const row0 = img.row(y0);
-    const std::uint8_t* const row1 = img.row(y1);
-    std::uint8_t* const dst = out.row(y);
-    for (int x = 0; x < out_w; ++x) {
-      const double fx = fxs[x];
-      const double top = row0[x0s[x]] * (1 - fx) + row0[x1s[x]] * fx;
-      const double bottom = row1[x0s[x]] * (1 - fx) + row1[x1s[x]] * fx;
-      dst[x] = static_cast<std::uint8_t>(
-          std::clamp(top * (1 - fy) + bottom * fy, 0.0, 255.0));
-    }
+    const double* const top = interpolated(y0);
+    const double* const bottom = interpolated(y1);
+    simd::lerp_rows_f64_u8(top, bottom, n, fy, out.row(y));
   }
 }
 
@@ -82,50 +93,37 @@ struct BlurKernel {
   return k;
 }
 
-/// One clamped-border output pixel, taps in order i = -r..r (the order the
-/// pre-SIMD code used; the interior kernels preserve it too).
-[[nodiscard]] std::uint8_t conv_clamped_h(const std::uint8_t* row, int w,
-                                          const BlurKernel& k, int x) noexcept {
-  double sum = 0.0;
-  for (int i = -k.radius; i <= k.radius; ++i) {
-    const int sx = std::clamp(x + i, 0, w - 1);
-    sum += k.taps[static_cast<std::size_t>(i + k.radius)] *
-           static_cast<double>(row[sx]);
-  }
-  return static_cast<std::uint8_t>(std::clamp(sum, 0.0, 255.0));
-}
-
+/// Separable blur with a clamped border, taps in order i = -r..r per pass
+/// and the horizontal result truncated to u8 between passes. Each source
+/// row is widened to f64 once and padded with r copies of its edge pixels,
+/// which is exactly the clamped border, so the horizontal pass is one valid
+/// convolution per row. Its results go to a ring of 2r + 1 f64 rows (row y
+/// in slot y % (2r + 1)), all the vertical pass reads for one output row.
 void blur_into(const GrayImage& img, const BlurKernel& k, GrayImage& out,
                Arena& scratch) {
-  const int w = img.width();
   const int h = img.height();
   const int r = k.radius;
+  const std::size_t n = static_cast<std::size_t>(img.width());
   const std::size_t taps = k.taps.size();
-
-  GrayImage horizontal(scratch, w, h);
+  double* const padded = scratch_array<double>(scratch, n + taps - 1);
+  double* const ring = scratch_array<double>(scratch, taps * n);
+  const double** const rows = scratch_array<const double*>(scratch, taps);
+  const auto slot = [&](int y) {
+    return ring + (static_cast<std::size_t>(y) % taps) * n;
+  };
+  int filled = 0;  // rows [0, filled) have been through the horizontal pass
   for (int y = 0; y < h; ++y) {
-    const std::uint8_t* const src = img.row(y);
-    std::uint8_t* const dst = horizontal.row(y);
-    const int interior = w - 2 * r;
-    if (interior > 0) {
-      for (int x = 0; x < r; ++x) dst[x] = conv_clamped_h(src, w, k, x);
-      simd::conv_valid_u8_f64(src, static_cast<std::size_t>(interior),
-                              k.taps.data(), taps, dst + r);
-      for (int x = w - r; x < w; ++x) dst[x] = conv_clamped_h(src, w, k, x);
-    } else {
-      for (int x = 0; x < w; ++x) dst[x] = conv_clamped_h(src, w, k, x);
+    for (; filled <= std::min(y + r, h - 1); ++filled) {
+      const std::uint8_t* const src = img.row(filled);
+      std::fill_n(padded, r, static_cast<double>(src[0]));
+      simd::widen_u8_f64(src, n, padded + r);
+      std::fill_n(padded + r + n, r, static_cast<double>(src[n - 1]));
+      simd::conv_valid_f64(padded, n, k.taps.data(), taps, slot(filled));
     }
-  }
-
-  const std::uint8_t** rows =
-      const_cast<const std::uint8_t**>(scratch_array<const std::uint8_t*>(
-          scratch, taps));
-  for (int y = 0; y < h; ++y) {
     for (int i = -r; i <= r; ++i) {
-      rows[i + r] = horizontal.row(std::clamp(y + i, 0, h - 1));
+      rows[i + r] = slot(std::clamp(y + i, 0, h - 1));
     }
-    simd::conv_rows_u8_f64(rows, static_cast<std::size_t>(w), k.taps.data(),
-                           taps, out.row(y));
+    simd::conv_rows_f64_u8(rows, n, k.taps.data(), taps, out.row(y));
   }
 }
 
@@ -224,6 +222,7 @@ GrayImage upscale_bilinear(const GrayImage& img, int factor, Arena& arena) {
     return out;
   }
   GrayImage out(arena, img.width() * factor, img.height() * factor);
+  const Arena::Frame scratch(arena);  // releases everything but `out`
   upscale_into(img, factor, out, arena);
   return out;
 }
@@ -246,6 +245,7 @@ GrayImage gaussian_blur(const GrayImage& img, double sigma, Arena& arena) {
   }
   const BlurKernel kernel = make_blur_kernel(sigma);
   GrayImage out(arena, img.width(), img.height());
+  const Arena::Frame scratch(arena);  // releases everything but `out`
   blur_into(img, kernel, out, arena);
   return out;
 }

@@ -112,34 +112,12 @@ inline void apply_mode(Mode mode) noexcept {
 // u8 pointwise kernels
 // ---------------------------------------------------------------------------
 
-/// dst[i] = src[i] > threshold ? 255 : 0. dst may alias src.
+/// dst[i] = src[i] > threshold ? 255 : 0. dst may alias src. No vector
+/// path: the compiler vectorizes this loop, and a hand-written SSE2 compare
+/// measured no faster.
 inline void binarize_u8(const std::uint8_t* src, std::uint8_t* dst,
                         std::size_t n, std::uint8_t threshold) noexcept {
-  std::size_t i = 0;
-  if (threshold == 255) {  // nothing exceeds 255
-    if (n > 0) std::memset(dst, 0, n);  // dst may be null when n == 0
-    return;
-  }
-#if defined(TERO_SIMD_SSE2)
-  if (enabled()) {
-    const __m128i t1 = _mm_set1_epi8(static_cast<char>(threshold + 1));
-    for (; i + 16 <= n; i += 16) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-      // max(x, t+1) == x  <=>  x >= t+1  <=>  x > t (unsigned).
-      const __m128i m = _mm_cmpeq_epi8(_mm_max_epu8(x, t1), x);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), m);
-    }
-  }
-#elif defined(TERO_SIMD_NEON)
-  if (enabled()) {
-    const uint8x16_t t = vdupq_n_u8(threshold);
-    for (; i + 16 <= n; i += 16) {
-      vst1q_u8(dst + i, vcgtq_u8(vld1q_u8(src + i), t));
-    }
-  }
-#endif
-  for (; i < n; ++i) dst[i] = src[i] > threshold ? 255 : 0;
+  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] > threshold ? 255 : 0;
 }
 
 /// dst[i] = 255 - src[i] (bitwise NOT). dst may alias src.
@@ -552,87 +530,160 @@ namespace detail {
 }
 
 // ---------------------------------------------------------------------------
-// f64 convolution helper (separable Gaussian blur rows)
+// f64 row kernels (the separable Gaussian blur and the bilinear upscale)
 //
-// Outputs are independent pixels, so vectorizing ACROSS outputs keeps each
-// output's tap-accumulation order identical to the scalar loop — this kernel
-// is bit-identical not only scalar-vs-SIMD but also to the pre-SIMD code.
+// The image ops widen each byte to f64 once (widen_u8_f64) and run every tap
+// over f64 rows. Outputs are independent pixels, so vectorizing ACROSS
+// outputs keeps each output's products, add order, clamp and truncation
+// those of the scalar loop: the kernels are bit-identical scalar-vs-SIMD and
+// to the per-pixel code that converted a byte once per tap. The SSE2 paths
+// keep four independent 2-lane accumulators (8 outputs) in flight; the
+// scalar loop computes each output in the same order and takes the tails.
 // ---------------------------------------------------------------------------
 
-/// For x in [0, n): dst[x] = clamp(sum_i kernel[i] * src[x + i], 0, 255)
-/// truncated to u8, taps accumulated in order i = 0..taps-1. The caller
-/// guarantees src[0 .. n-1+taps-1] is readable (interior of a row).
-inline void conv_valid_u8_f64(const std::uint8_t* src, std::size_t n,
-                              const double* kernel, std::size_t taps,
-                              std::uint8_t* dst) noexcept {
+namespace detail {
+#if defined(TERO_SIMD_SSE2)
+/// clamp(v, 0, 255) truncated toward zero, as two int32 in the low lanes.
+[[nodiscard]] inline __m128i clamp_trunc_u8(__m128d v) noexcept {
+  return _mm_cvttpd_epi32(
+      _mm_min_pd(_mm_max_pd(v, _mm_setzero_pd()), _mm_set1_pd(255.0)));
+}
+
+/// The low two int32 lanes of a, b, c and d (each 0..255) stored as 8 bytes.
+inline void store8_u8(std::uint8_t* dst, __m128i a, __m128i b, __m128i c,
+                      __m128i d) noexcept {
+  const __m128i words = _mm_packs_epi32(_mm_unpacklo_epi64(a, b),
+                                        _mm_unpacklo_epi64(c, d));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(dst),
+                   _mm_packus_epi16(words, words));
+}
+#endif
+
+[[nodiscard]] inline std::uint8_t clamp_trunc_u8(double v) noexcept {
+  return static_cast<std::uint8_t>(v < 0.0 ? 0.0 : (v > 255.0 ? 255.0 : v));
+}
+}  // namespace detail
+
+/// dst[i] = double(src[i]).
+inline void widen_u8_f64(const std::uint8_t* src, std::size_t n,
+                         double* dst) noexcept {
+  std::size_t i = 0;
+#if defined(TERO_SIMD_SSE2)
+  if (enabled()) {
+    const __m128i zero = _mm_setzero_si128();
+    for (; i + 8 <= n; i += 8) {
+      const __m128i words = _mm_unpacklo_epi8(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + i)), zero);
+      const __m128i lo = _mm_unpacklo_epi16(words, zero);
+      const __m128i hi = _mm_unpackhi_epi16(words, zero);
+      _mm_storeu_pd(dst + i, _mm_cvtepi32_pd(lo));
+      _mm_storeu_pd(dst + i + 2, _mm_cvtepi32_pd(_mm_srli_si128(lo, 8)));
+      _mm_storeu_pd(dst + i + 4, _mm_cvtepi32_pd(hi));
+      _mm_storeu_pd(dst + i + 6, _mm_cvtepi32_pd(_mm_srli_si128(hi, 8)));
+    }
+  }
+#endif
+  for (; i < n; ++i) dst[i] = static_cast<double>(src[i]);
+}
+
+/// Horizontal blur pass: for x in [0, n),
+/// dst[x] = trunc(clamp(sum_i kernel[i] * src[x + i], 0, 255)), taps added
+/// in order i = 0..taps-1 to 0.0 — a u8 value kept in f64 for the vertical
+/// pass. src[0 .. n + taps - 2] must be readable (a row padded with its
+/// border); dst must not alias src.
+inline void conv_valid_f64(const double* src, std::size_t n,
+                           const double* kernel, std::size_t taps,
+                           double* dst) noexcept {
   std::size_t x = 0;
 #if defined(TERO_SIMD_SSE2)
   if (enabled()) {
-    const __m128d lo = _mm_setzero_pd();
-    const __m128d hi = _mm_set1_pd(255.0);
-    for (; x + 2 <= n; x += 2) {
-      __m128d acc = _mm_setzero_pd();
+    for (; x + 8 <= n; x += 8) {
+      __m128d a0 = _mm_setzero_pd();
+      __m128d a1 = _mm_setzero_pd();
+      __m128d a2 = _mm_setzero_pd();
+      __m128d a3 = _mm_setzero_pd();
+      const double* const s = src + x;
       for (std::size_t i = 0; i < taps; ++i) {
         const __m128d k = _mm_set1_pd(kernel[i]);
-        const __m128d v = _mm_set_pd(
-            static_cast<double>(src[x + i + 1]),
-            static_cast<double>(src[x + i]));
-        acc = _mm_add_pd(acc, _mm_mul_pd(k, v));
+        a0 = _mm_add_pd(a0, _mm_mul_pd(k, _mm_loadu_pd(s + i)));
+        a1 = _mm_add_pd(a1, _mm_mul_pd(k, _mm_loadu_pd(s + i + 2)));
+        a2 = _mm_add_pd(a2, _mm_mul_pd(k, _mm_loadu_pd(s + i + 4)));
+        a3 = _mm_add_pd(a3, _mm_mul_pd(k, _mm_loadu_pd(s + i + 6)));
       }
-      acc = _mm_min_pd(_mm_max_pd(acc, lo), hi);
-      alignas(16) double vals[2];
-      _mm_store_pd(vals, acc);
-      dst[x] = static_cast<std::uint8_t>(vals[0]);
-      dst[x + 1] = static_cast<std::uint8_t>(vals[1]);
+      _mm_storeu_pd(dst + x, _mm_cvtepi32_pd(detail::clamp_trunc_u8(a0)));
+      _mm_storeu_pd(dst + x + 2, _mm_cvtepi32_pd(detail::clamp_trunc_u8(a1)));
+      _mm_storeu_pd(dst + x + 4, _mm_cvtepi32_pd(detail::clamp_trunc_u8(a2)));
+      _mm_storeu_pd(dst + x + 6, _mm_cvtepi32_pd(detail::clamp_trunc_u8(a3)));
     }
   }
 #endif
   for (; x < n; ++x) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < taps; ++i) {
-      sum += kernel[i] * static_cast<double>(src[x + i]);
-    }
-    sum = sum < 0.0 ? 0.0 : (sum > 255.0 ? 255.0 : sum);
-    dst[x] = static_cast<std::uint8_t>(sum);
+    for (std::size_t i = 0; i < taps; ++i) sum += kernel[i] * src[x + i];
+    dst[x] = static_cast<double>(detail::clamp_trunc_u8(sum));
   }
 }
 
-/// Vertical tap accumulation: for x in [0, n):
-/// dst[x] = clamp(sum_i kernel[i] * rows[i][x], 0, 255) truncated to u8,
-/// taps in order i = 0..taps-1. `rows` are per-tap row pointers (already
-/// clamped to the raster by the caller).
-inline void conv_rows_u8_f64(const std::uint8_t* const* rows, std::size_t n,
+/// Vertical blur pass: for x in [0, n),
+/// dst[x] = trunc(clamp(sum_i kernel[i] * rows[i][x], 0, 255)), taps added
+/// in order i = 0..taps-1 to 0.0. `rows` are per-tap row pointers, already
+/// clamped to the raster by the caller.
+inline void conv_rows_f64_u8(const double* const* rows, std::size_t n,
                              const double* kernel, std::size_t taps,
                              std::uint8_t* dst) noexcept {
   std::size_t x = 0;
 #if defined(TERO_SIMD_SSE2)
   if (enabled()) {
-    const __m128d lo = _mm_setzero_pd();
-    const __m128d hi = _mm_set1_pd(255.0);
-    for (; x + 2 <= n; x += 2) {
-      __m128d acc = _mm_setzero_pd();
+    for (; x + 8 <= n; x += 8) {
+      __m128d a0 = _mm_setzero_pd();
+      __m128d a1 = _mm_setzero_pd();
+      __m128d a2 = _mm_setzero_pd();
+      __m128d a3 = _mm_setzero_pd();
       for (std::size_t i = 0; i < taps; ++i) {
         const __m128d k = _mm_set1_pd(kernel[i]);
-        const __m128d v = _mm_set_pd(
-            static_cast<double>(rows[i][x + 1]),
-            static_cast<double>(rows[i][x]));
-        acc = _mm_add_pd(acc, _mm_mul_pd(k, v));
+        const double* const r = rows[i] + x;
+        a0 = _mm_add_pd(a0, _mm_mul_pd(k, _mm_loadu_pd(r)));
+        a1 = _mm_add_pd(a1, _mm_mul_pd(k, _mm_loadu_pd(r + 2)));
+        a2 = _mm_add_pd(a2, _mm_mul_pd(k, _mm_loadu_pd(r + 4)));
+        a3 = _mm_add_pd(a3, _mm_mul_pd(k, _mm_loadu_pd(r + 6)));
       }
-      acc = _mm_min_pd(_mm_max_pd(acc, lo), hi);
-      alignas(16) double vals[2];
-      _mm_store_pd(vals, acc);
-      dst[x] = static_cast<std::uint8_t>(vals[0]);
-      dst[x + 1] = static_cast<std::uint8_t>(vals[1]);
+      detail::store8_u8(dst + x, detail::clamp_trunc_u8(a0),
+                        detail::clamp_trunc_u8(a1), detail::clamp_trunc_u8(a2),
+                        detail::clamp_trunc_u8(a3));
     }
   }
 #endif
   for (; x < n; ++x) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < taps; ++i) {
-      sum += kernel[i] * static_cast<double>(rows[i][x]);
+    for (std::size_t i = 0; i < taps; ++i) sum += kernel[i] * rows[i][x];
+    dst[x] = detail::clamp_trunc_u8(sum);
+  }
+}
+
+/// The bilinear upscale's vertical blend of two x-interpolated source rows:
+/// dst[x] = trunc(clamp(top[x] * (1 - fy) + bottom[x] * fy, 0, 255)).
+inline void lerp_rows_f64_u8(const double* top, const double* bottom,
+                             std::size_t n, double fy,
+                             std::uint8_t* dst) noexcept {
+  const double gy = 1 - fy;
+  std::size_t x = 0;
+#if defined(TERO_SIMD_SSE2)
+  if (enabled()) {
+    const __m128d g = _mm_set1_pd(gy);
+    const __m128d f = _mm_set1_pd(fy);
+    const auto lerp = [&](std::size_t at) {
+      return detail::clamp_trunc_u8(
+          _mm_add_pd(_mm_mul_pd(_mm_loadu_pd(top + at), g),
+                     _mm_mul_pd(_mm_loadu_pd(bottom + at), f)));
+    };
+    for (; x + 8 <= n; x += 8) {
+      detail::store8_u8(dst + x, lerp(x), lerp(x + 2), lerp(x + 4),
+                        lerp(x + 6));
     }
-    sum = sum < 0.0 ? 0.0 : (sum > 255.0 ? 255.0 : sum);
-    dst[x] = static_cast<std::uint8_t>(sum);
+  }
+#endif
+  for (; x < n; ++x) {
+    dst[x] = detail::clamp_trunc_u8(top[x] * gy + bottom[x] * fy);
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "ocr/preprocess.hpp"
 #include "synth/thumbnail.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace tero::image {
 namespace {
@@ -72,6 +74,132 @@ std::vector<Component> flood_fill_components(const GrayImage& img,
             });
   return components;
 }
+
+/// gaussian_blur as it was computed pixel by pixel, converting a byte to
+/// double at every tap: a clamped-border horizontal pass truncated to u8,
+/// then the vertical pass over it, taps in order i = -r..r.
+GrayImage reference_blur(const GrayImage& img, double sigma) {
+  const int r = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
+  std::vector<double> taps(2 * static_cast<std::size_t>(r) + 1);
+  double total = 0.0;
+  for (int i = -r; i <= r; ++i) {
+    taps[static_cast<std::size_t>(i + r)] =
+        std::exp(-0.5 * (i * i) / (sigma * sigma));
+    total += taps[static_cast<std::size_t>(i + r)];
+  }
+  for (double& t : taps) t /= total;
+  const int w = img.width();
+  const int h = img.height();
+  GrayImage horizontal(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      double sum = 0.0;
+      for (int i = -r; i <= r; ++i) {
+        sum += taps[static_cast<std::size_t>(i + r)] *
+               static_cast<double>(img.at(std::clamp(x + i, 0, w - 1), y));
+      }
+      horizontal.set(x, y,
+                     static_cast<std::uint8_t>(std::clamp(sum, 0.0, 255.0)));
+    }
+  }
+  GrayImage out(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      double sum = 0.0;
+      for (int i = -r; i <= r; ++i) {
+        sum += taps[static_cast<std::size_t>(i + r)] *
+               static_cast<double>(
+                   horizontal.at(x, std::clamp(y + i, 0, h - 1)));
+      }
+      out.set(x, y, static_cast<std::uint8_t>(std::clamp(sum, 0.0, 255.0)));
+    }
+  }
+  return out;
+}
+
+/// upscale_bilinear as it was computed pixel by pixel.
+GrayImage reference_upscale(const GrayImage& img, int factor) {
+  if (factor == 1) return img;
+  GrayImage out(img.width() * factor, img.height() * factor);
+  for (int y = 0; y < out.height(); ++y) {
+    const double sy = (y + 0.5) / factor - 0.5;
+    const int y0 = std::clamp(static_cast<int>(std::floor(sy)), 0,
+                              img.height() - 1);
+    const int y1 = std::min(y0 + 1, img.height() - 1);
+    const double fy = std::clamp(sy - y0, 0.0, 1.0);
+    for (int x = 0; x < out.width(); ++x) {
+      const double sx = (x + 0.5) / factor - 0.5;
+      const int x0 = std::clamp(static_cast<int>(std::floor(sx)), 0,
+                                img.width() - 1);
+      const int x1 = std::min(x0 + 1, img.width() - 1);
+      const double fx = std::clamp(sx - x0, 0.0, 1.0);
+      const double top = img.at(x0, y0) * (1 - fx) + img.at(x1, y0) * fx;
+      const double bottom = img.at(x0, y1) * (1 - fx) + img.at(x1, y1) * fx;
+      out.set(x, y, static_cast<std::uint8_t>(
+                        std::clamp(top * (1 - fy) + bottom * fy, 0.0, 255.0)));
+    }
+  }
+  return out;
+}
+
+/// The inputs the reference tests feed each geometry. On a flat image or
+/// a ramp the exact blur of a pixel is its own value, so the rounding of
+/// each add decides whether it truncates to that value or one below: there
+/// a changed tap order shows.
+enum class Fill { kRandom, kBinary, kFlat, kRamp };
+
+GrayImage test_image(int w, int h, Fill fill, util::Rng& rng) {
+  GrayImage img(w, h);
+  const auto level = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  const auto dx = rng.uniform_int(1, 9);
+  const auto dy = rng.uniform_int(1, 9);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      switch (fill) {
+        case Fill::kRandom:
+          img.set(x, y, static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+          break;
+        case Fill::kBinary:
+          img.set(x, y, rng.bernoulli(0.3) ? 255 : 0);
+          break;
+        case Fill::kFlat:
+          img.set(x, y, level);
+          break;
+        case Fill::kRamp:
+          img.set(x, y, static_cast<std::uint8_t>(level + dx * x + dy * y));
+          break;
+      }
+    }
+  }
+  return img;
+}
+
+/// Success when the images match; otherwise names the first differing
+/// pixel.
+::testing::AssertionResult same_pixels(const GrayImage& got,
+                                       const GrayImage& want) {
+  if (got.width() != want.width() || got.height() != want.height()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.width() << "x" << got.height() << ", want "
+           << want.width() << "x" << want.height();
+  }
+  for (int y = 0; y < got.height(); ++y) {
+    for (int x = 0; x < got.width(); ++x) {
+      if (got.at(x, y) != want.at(x, y)) {
+        return ::testing::AssertionFailure()
+               << "pixel (" << x << ", " << y << ") is "
+               << int{got.at(x, y)} << ", want " << int{want.at(x, y)};
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Puts the SIMD switch back to its default when a test ends, however it
+/// ends.
+struct RestoreSimd {
+  ~RestoreSimd() { util::simd::apply_mode(util::simd::Mode::kAuto); }
+};
 
 TEST(GrayImage, ConstructionAndFill) {
   GrayImage img(10, 5, 7);
@@ -200,6 +328,70 @@ TEST(Ops, GaussianBlurSmoothsEdges) {
   // The edge pixel should now be intermediate.
   EXPECT_GT(blurred.at(10, 10), 30);
   EXPECT_LT(blurred.at(10, 10), 225);
+}
+
+// Every output bit of the f64-row blur against the per-pixel formula:
+// edge-only rows and columns (widths and heights below 2r + 1), the
+// 8-output vector tails, and the 4x-upscaled crop sizes the extractor
+// blurs, with the vector kernels on and off, through both overloads.
+TEST(Ops, GaussianBlurMatchesPerPixelReference) {
+  const RestoreSimd restore;
+  util::Rng rng(1717);
+  Arena arena;
+  const int widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 17, 97,
+                        384, 389, 402, 491, 600};
+  const int heights[] = {1, 2, 3, 7, 8, 88};
+  for (const double sigma : {0.3, 0.5, 1.0, 1.2, 2.0, 3.0}) {
+    for (const int w : widths) {
+      for (const int h : heights) {
+        for (const Fill fill :
+             {Fill::kRandom, Fill::kBinary, Fill::kFlat, Fill::kRamp}) {
+          const GrayImage img = test_image(w, h, fill, rng);
+          const GrayImage want = reference_blur(img, sigma);
+          for (const bool simd_on : {true, false}) {
+            util::simd::set_enabled(simd_on);
+            const Arena::Frame frame(arena);
+            ASSERT_TRUE(same_pixels(gaussian_blur(img, sigma), want))
+                << "heap sigma " << sigma << " " << w << "x" << h << " fill "
+                << static_cast<int>(fill) << " simd " << simd_on;
+            ASSERT_TRUE(same_pixels(gaussian_blur(img, sigma, arena), want))
+                << "arena sigma " << sigma << " " << w << "x" << h
+                << " fill " << static_cast<int>(fill) << " simd " << simd_on;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The same for the separated upscale: every factor the extractor and its
+// reprocess pass use and more, widths with vector tails of every length.
+TEST(Ops, UpscaleMatchesPerPixelReference) {
+  const RestoreSimd restore;
+  util::Rng rng(1718);
+  Arena arena;
+  for (const int factor : {1, 2, 3, 4, 5, 7}) {
+    for (const int w : {1, 2, 3, 17, 96, 150}) {
+      for (const int h : {1, 2, 5, 22}) {
+        for (const Fill fill :
+             {Fill::kRandom, Fill::kBinary, Fill::kFlat, Fill::kRamp}) {
+          const GrayImage img = test_image(w, h, fill, rng);
+          const GrayImage want = reference_upscale(img, factor);
+          for (const bool simd_on : {true, false}) {
+            util::simd::set_enabled(simd_on);
+            const Arena::Frame frame(arena);
+            ASSERT_TRUE(same_pixels(upscale_bilinear(img, factor), want))
+                << "heap factor " << factor << " " << w << "x" << h
+                << " fill " << static_cast<int>(fill) << " simd " << simd_on;
+            ASSERT_TRUE(
+                same_pixels(upscale_bilinear(img, factor, arena), want))
+                << "arena factor " << factor << " " << w << "x" << h
+                << " fill " << static_cast<int>(fill) << " simd " << simd_on;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Ops, OtsuSeparatesBimodal) {

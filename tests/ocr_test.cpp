@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+#include "image/arena.hpp"
 #include "image/draw.hpp"
 #include "ocr/engine.hpp"
 #include "ocr/extractor.hpp"
@@ -235,6 +241,70 @@ TEST(Extractor, ReadingsArePinned) {
   EXPECT_GT(ambiguous, 0);
   EXPECT_GT(alternatives, 0);
   EXPECT_EQ(util::fnv1a64(fields), 0x7aa18a38bddab496ULL);
+}
+
+// What extraction takes from a fresh thread's arena, per game, over one
+// render of each corruption mode: the bytes of the blocks it reserves, and
+// its high-water mark. Both are pinned at the code whose arena overloads of
+// upscale_bilinear and gaussian_blur kept their scratch until the
+// extraction's frame ended. They release it as they return, so neither
+// figure may rise above its pin.
+TEST(Extractor, ArenaFootprintIsPinned) {
+  struct Footprint {
+    std::string_view game;
+    std::size_t reserved;
+    std::size_t high_water;
+  };
+  const Footprint pinned[] = {
+      {"League of Legends", 262144, 186272},
+      {"Teamfight Tactics", 262144, 210880},
+      {"Call of Duty Warzone", 524288, 279408},
+      {"Call of Duty Modern Warfare", 524288, 279408},
+      {"Genshin Impact", 262144, 202432},
+      {"Dota 2", 262144, 202432},
+      {"Among Us", 262144, 202432},
+      {"Lost Ark", 262144, 202432},
+      {"Apex Legends", 262144, 202432},
+  };
+  const synth::ThumbnailRenderer renderer;
+  const LatencyExtractor extractor;
+  const synth::Corruption corruptions[] = {
+      synth::Corruption::kNone,        synth::Corruption::kOcclusion,
+      synth::Corruption::kLowContrast, synth::Corruption::kClock,
+      synth::Corruption::kHeavyNoise,  synth::Corruption::kCompression,
+  };
+  for (const GameUiSpec& spec : all_ui_specs()) {
+    util::Rng rng(404);
+    std::vector<image::GrayImage> thumbnails;
+    for (const synth::Corruption corruption : corruptions) {
+      thumbnails.push_back(
+          renderer.render_with(spec, 87, corruption, rng).image);
+    }
+    std::size_t reserved = 0;
+    std::size_t high_water = 0;
+    std::exception_ptr error;
+    std::thread([&] {
+      try {
+        for (const image::GrayImage& thumbnail : thumbnails) {
+          (void)extractor.extract(thumbnail, spec);
+        }
+        const image::Arena& arena = image::Arena::thread_local_arena();
+        reserved = arena.reserved();
+        high_water = arena.high_water();
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }).join();
+    if (error) std::rethrow_exception(error);
+    const Footprint* expected = nullptr;
+    for (const Footprint& footprint : pinned) {
+      if (footprint.game == spec.game) expected = &footprint;
+    }
+    ASSERT_NE(expected, nullptr) << spec.game << " " << reserved << " "
+                                 << high_water;
+    EXPECT_LE(reserved, expected->reserved) << spec.game;
+    EXPECT_LE(high_water, expected->high_water) << spec.game;
+  }
 }
 
 TEST(Extractor, EmptyPanelYieldsMiss) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -246,27 +247,44 @@ TEST_F(SimdTest, ConvolutionKernelsMatchScalar) {
   const std::vector<double> kernel = {0.25, 0.5, 0.25};
   for (std::uint32_t seed : {31u, 32u}) {
     for (std::size_t n : kSizes) {
-      const auto src = random_bytes(n + kernel.size() - 1, seed);
+      const auto bytes = random_bytes(n + kernel.size() - 1, seed);
+      std::vector<double> wide_fast(bytes.size()), wide_slow(bytes.size());
+      std::vector<double> conv_fast(n), conv_slow(n);
+      simd::set_enabled(true);
+      simd::widen_u8_f64(bytes.data(), bytes.size(), wide_fast.data());
+      simd::conv_valid_f64(wide_fast.data(), n, kernel.data(), kernel.size(),
+                           conv_fast.data());
+      simd::set_enabled(false);
+      simd::widen_u8_f64(bytes.data(), bytes.size(), wide_slow.data());
+      simd::conv_valid_f64(wide_slow.data(), n, kernel.data(), kernel.size(),
+                           conv_slow.data());
+      ASSERT_EQ(wide_fast, wide_slow) << "widen n=" << n;
+      ASSERT_TRUE(std::equal(bytes.begin(), bytes.end(), wide_slow.begin()))
+          << "widen n=" << n;
+      ASSERT_EQ(conv_fast, conv_slow) << "conv_valid n=" << n;
+
+      std::vector<std::vector<double>> r;
+      for (std::uint32_t t = 1; t <= 3; ++t) {
+        const auto row = random_bytes(n, seed + t);
+        r.emplace_back(row.begin(), row.end());
+      }
+      const double* rows[3] = {r[0].data(), r[1].data(), r[2].data()};
       std::vector<std::uint8_t> fast(n), slow(n);
       simd::set_enabled(true);
-      simd::conv_valid_u8_f64(src.data(), n, kernel.data(), kernel.size(),
-                              fast.data());
-      simd::set_enabled(false);
-      simd::conv_valid_u8_f64(src.data(), n, kernel.data(), kernel.size(),
-                              slow.data());
-      ASSERT_EQ(fast, slow) << "conv_valid n=" << n;
-
-      const auto r0 = random_bytes(n, seed + 1);
-      const auto r1 = random_bytes(n, seed + 2);
-      const auto r2 = random_bytes(n, seed + 3);
-      const std::uint8_t* rows[3] = {r0.data(), r1.data(), r2.data()};
-      simd::set_enabled(true);
-      simd::conv_rows_u8_f64(rows, n, kernel.data(), kernel.size(),
+      simd::conv_rows_f64_u8(rows, n, kernel.data(), kernel.size(),
                              fast.data());
       simd::set_enabled(false);
-      simd::conv_rows_u8_f64(rows, n, kernel.data(), kernel.size(),
+      simd::conv_rows_f64_u8(rows, n, kernel.data(), kernel.size(),
                              slow.data());
       ASSERT_EQ(fast, slow) << "conv_rows n=" << n;
+
+      for (double fy : {0.0, 0.125, 0.375, 0.7, 1.0}) {
+        simd::set_enabled(true);
+        simd::lerp_rows_f64_u8(rows[0], rows[1], n, fy, fast.data());
+        simd::set_enabled(false);
+        simd::lerp_rows_f64_u8(rows[0], rows[1], n, fy, slow.data());
+        ASSERT_EQ(fast, slow) << "lerp_rows n=" << n << " fy=" << fy;
+      }
     }
   }
 }
