@@ -22,6 +22,7 @@
 // 90-day horizon so the range arm still spans the full window count.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>

@@ -2,7 +2,7 @@
 # CI driver: the build/test jobs a change must pass.
 #
 #   tier1        Release build, full test suite          (the seed contract)
-#   asan         AddressSanitizer, smoke-labeled tests   (fast memory checks)
+#   asan         AddressSanitizer, full test suite       (memory checks)
 #   ubsan        UndefinedBehaviorSanitizer, smoke- and tsdb-labeled tests,
 #                with UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 set
 #                by the test preset, so any UB report fails the job (the
@@ -429,7 +429,7 @@ for job in "${jobs[@]}"; do
   echo "=== ci: $job ==="
   case "$job" in
     tier1) run_preset default default ;;
-    asan)  run_preset asan asan ;;   # test preset filters to -L smoke
+    asan)  run_preset asan asan ;;
     ubsan) run_preset ubsan ubsan ;; # test preset filters to -L 'smoke|tsdb'
     tsan)  run_preset tsan tsan ;;
     bench-smoke) run_bench_smoke ;;

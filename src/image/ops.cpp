@@ -177,8 +177,7 @@ void morph_into(const GrayImage& src, GrayImage& dst, bool dilate,
   return out;
 }
 
-/// Per-glyph-cell foreground count used by both normalize_glyph overloads,
-/// so the float fast path and the double compatibility path stay in sync.
+/// Foreground and total pixel counts of one normalize_glyph grid cell.
 struct CellCount {
   std::size_t ink = 0;
   std::size_t total = 0;
@@ -311,13 +310,6 @@ GrayImage binarize(const GrayImage& img, std::uint8_t threshold) {
   return out;
 }
 
-GrayImage binarize(const GrayImage& img, std::uint8_t threshold,
-                   Arena& arena) {
-  GrayImage out(arena, img.width(), img.height());
-  util::simd::binarize_u8(img.data(), out.data(), img.size(), threshold);
-  return out;
-}
-
 void binarize_inplace(GrayImage& img, std::uint8_t threshold) noexcept {
   util::simd::binarize_u8(img.data(), img.data(), img.size(), threshold);
 }
@@ -329,12 +321,6 @@ GrayImage dilate3x3(const GrayImage& img, Arena& arena) {
 GrayImage erode3x3(const GrayImage& img) { return morph_heap(img, false); }
 GrayImage erode3x3(const GrayImage& img, Arena& arena) {
   return morph_arena(img, false, arena);
-}
-
-GrayImage invert(const GrayImage& img) {
-  GrayImage out(img.width(), img.height());
-  util::simd::invert_u8(img.data(), out.data(), img.size());
-  return out;
 }
 
 void invert_inplace(GrayImage& img) noexcept {
@@ -445,23 +431,6 @@ void normalize_glyph(const GrayImage& img, const Rect& bounds, int size,
               : 0.0f;
     }
   }
-}
-
-std::vector<double> normalize_glyph(const GrayImage& img, const Rect& bounds,
-                                    int size) {
-  std::vector<double> grid(static_cast<std::size_t>(size) * size, 0.0);
-  const Rect clipped = bounds.intersect(Rect{0, 0, img.width(), img.height()});
-  if (clipped.empty()) return grid;
-  for (int gy = 0; gy < size; ++gy) {
-    for (int gx = 0; gx < size; ++gx) {
-      const CellCount cell = count_cell(img, clipped, gx, gy, size);
-      grid[static_cast<std::size_t>(gy) * size + gx] =
-          cell.total > 0
-              ? static_cast<double>(cell.ink) / static_cast<double>(cell.total)
-              : 0.0;
-    }
-  }
-  return grid;
 }
 
 }  // namespace tero::image

@@ -32,8 +32,6 @@ void gaussian_blur_inplace(GrayImage& img, double sigma, const Rect& region);
 
 /// Binarize: pixels strictly above `threshold` become 255, others 0.
 [[nodiscard]] GrayImage binarize(const GrayImage& img, std::uint8_t threshold);
-[[nodiscard]] GrayImage binarize(const GrayImage& img, std::uint8_t threshold,
-                                 Arena& arena);
 /// In-place binarize (the preprocessing chain re-uses its arena buffer).
 void binarize_inplace(GrayImage& img, std::uint8_t threshold) noexcept;
 
@@ -43,7 +41,7 @@ void binarize_inplace(GrayImage& img, std::uint8_t threshold) noexcept;
 [[nodiscard]] GrayImage erode3x3(const GrayImage& img);
 [[nodiscard]] GrayImage erode3x3(const GrayImage& img, Arena& arena);
 
-[[nodiscard]] GrayImage invert(const GrayImage& img);
+/// In-place 255 - v on every pixel.
 void invert_inplace(GrayImage& img) noexcept;
 
 /// Fraction of foreground (255) pixels.
@@ -63,12 +61,9 @@ struct Component {
 
 /// Resample the foreground bounding box of a binary glyph onto a `size`x
 /// `size` grid of pixel densities in [0,1] — the normalized form the OCR
-/// engines classify. The span overload writes into caller-owned storage
-/// (out.size() >= size*size) so the per-glyph engine loops allocate nothing.
+/// engines classify. Writes into caller-owned storage (out.size() >=
+/// size*size) so the per-glyph engine loops allocate nothing.
 void normalize_glyph(const GrayImage& img, const Rect& bounds, int size,
                      std::span<float> out) noexcept;
-[[nodiscard]] std::vector<double> normalize_glyph(const GrayImage& img,
-                                                  const Rect& bounds,
-                                                  int size);
 
 }  // namespace tero::image

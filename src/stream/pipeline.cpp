@@ -89,7 +89,6 @@ StreamResult StreamPipeline::run(const synth::World& world,
   obs::TraceRecorder* const trace = config_.tero.trace;
   const obs::ScopedSpan run_span(trace, "stream.run");
 
-  util::simd::apply_mode(config_.tero.simd);
   const StreamSchedule schedule = build_schedule(world, streams, config_);
 
   const std::unique_ptr<core::ExtractionChannel> channel =

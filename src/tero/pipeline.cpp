@@ -293,7 +293,6 @@ std::optional<StreamerGameEntry> analyze_streamer_group(
 }
 
 Pipeline::Pipeline(TeroConfig config) : config_(std::move(config)) {
-  util::simd::apply_mode(config_.simd);
   channel_ = config_.use_full_ocr
                  ? make_ocr_channel(config_.thumbnails)
                  : make_noise_channel(config_.noise);

@@ -22,7 +22,6 @@
 #include "synth/world.hpp"
 #include "tero/channel.hpp"
 #include "tero/funnel.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tero::obs {
@@ -63,12 +62,6 @@ struct TeroConfig {
   /// results land in slots indexed by task id (see DESIGN.md, "Concurrency
   /// model").
   std::size_t threads = 0;
-  /// SIMD dispatch for the extraction fast path (image kernels + OCR match
-  /// loops). kAuto follows the `TERO_SIMD` environment knob (off/0/false
-  /// disables); kOn/kOff force the vectorized/scalar path. Both paths are
-  /// bit-identical by contract (DESIGN.md §12) — this knob exists so the
-  /// determinism gates can prove it, not because outputs differ.
-  util::simd::Mode simd = util::simd::Mode::kAuto;
   /// Optional observability sinks (not owned; may be null — the default).
   /// Observational only: the pipeline writes stage timings, per-task latency
   /// histograms, funnel counters, and trace spans, but never reads them, so

@@ -5,15 +5,20 @@
 // Design rules:
 //  - One vector width (128 bit), three backends: SSE2 (x86-64 baseline),
 //    NEON (aarch64), and a scalar fallback. The backend is picked at compile
-//    time; `enabled()` additionally gates every kernel at runtime so the
-//    determinism suites can force the scalar path (TERO_SIMD=off) in the
+//    time; `enabled()` additionally gates every vector path at runtime so
+//    the determinism suites can force the scalar path (TERO_SIMD=off) in the
 //    same binary and assert bit-identity.
+//  - A kernel keeps a vector path only where it beats its scalar loop in the
+//    stage that calls it: the morphology row ops, count_eq_u8, find_eq_u8,
+//    l2sq_f32, l1_f32 and the f64 row kernels. binarize_u8, invert_u8,
+//    histogram_u8 and dot_f32 are plain loops (the compiler vectorizes the
+//    pointwise ones).
 //  - Every kernel's scalar fallback is BIT-IDENTICAL to its vector path.
 //    For the u8 kernels this is free (integer arithmetic). For the float
 //    reductions the accumulation order is part of the kernel's contract:
 //    four lane-strided partial sums over the first n/4*4 elements, combined
 //    as (l0 + l2) + (l1 + l3), then the tail added sequentially. The scalar
-//    path implements exactly that order, so `dot_f32(a, b, n)` returns the
+//    path implements exactly that order, so `l2sq_f32(a, b, n)` returns the
 //    same bits whether or not SIMD is enabled. (The build stays on baseline
 //    SSE2 with no FMA contraction, so the compiler cannot fuse the scalar
 //    multiply-adds into operations the vector path does not use.)
@@ -38,17 +43,6 @@
 
 namespace tero::util::simd {
 
-/// Compile-time backend name, independent of the runtime switch.
-[[nodiscard]] constexpr const char* backend() noexcept {
-#if defined(TERO_SIMD_SSE2)
-  return "sse2";
-#elif defined(TERO_SIMD_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
 [[nodiscard]] constexpr bool compiled() noexcept {
 #if defined(TERO_SIMD_SSE2) || defined(TERO_SIMD_NEON)
   return true;
@@ -57,12 +51,10 @@ namespace tero::util::simd {
 #endif
 }
 
-/// How a pipeline run selects the path. kAuto defers to the TERO_SIMD
-/// environment variable ("off"/"0"/"false" force scalar), which is how the
-/// CI determinism gate flips a release binary onto the scalar path.
-enum class Mode { kAuto, kOn, kOff };
-
 namespace detail {
+/// Read once: the TERO_SIMD environment variable ("off"/"0"/"false" force
+/// scalar) is how the CI determinism gate flips a release binary onto the
+/// scalar path.
 inline std::atomic<bool>& runtime_flag() noexcept {
   static std::atomic<bool> flag = [] {
     const char* env = std::getenv("TERO_SIMD");
@@ -84,28 +76,10 @@ inline std::atomic<bool>& runtime_flag() noexcept {
 }
 
 /// Force the scalar path (false) or re-enable vectors (true; no-op when the
-/// backend is scalar). Used by the bit-identity tests and benchmarks.
+/// backend is scalar). Used by the bit-identity tests and benchmarks, which
+/// save enabled() first and restore it when they finish.
 inline void set_enabled(bool on) noexcept {
   detail::runtime_flag().store(on && compiled(), std::memory_order_relaxed);
-}
-
-inline void apply_mode(Mode mode) noexcept {
-  switch (mode) {
-    case Mode::kOn:
-      set_enabled(true);
-      break;
-    case Mode::kOff:
-      set_enabled(false);
-      break;
-    case Mode::kAuto: {
-      const char* env = std::getenv("TERO_SIMD");
-      const bool off = env != nullptr && (std::strcmp(env, "off") == 0 ||
-                                          std::strcmp(env, "0") == 0 ||
-                                          std::strcmp(env, "false") == 0);
-      set_enabled(!off);
-      break;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -120,28 +94,13 @@ inline void binarize_u8(const std::uint8_t* src, std::uint8_t* dst,
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] > threshold ? 255 : 0;
 }
 
-/// dst[i] = 255 - src[i] (bitwise NOT). dst may alias src.
+/// dst[i] = 255 - src[i]. dst may alias src. No vector path: the compiler
+/// vectorizes this loop, and a hand-written SSE2 XOR measured no faster.
 inline void invert_u8(const std::uint8_t* src, std::uint8_t* dst,
                       std::size_t n) noexcept {
-  std::size_t i = 0;
-#if defined(TERO_SIMD_SSE2)
-  if (enabled()) {
-    const __m128i ones = _mm_set1_epi8(static_cast<char>(0xff));
-    for (; i + 16 <= n; i += 16) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                       _mm_xor_si128(x, ones));
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<std::uint8_t>(255 - src[i]);
   }
-#elif defined(TERO_SIMD_NEON)
-  if (enabled()) {
-    for (; i + 16 <= n; i += 16) {
-      vst1q_u8(dst + i, vmvnq_u8(vld1q_u8(src + i)));
-    }
-  }
-#endif
-  for (; i < n; ++i) dst[i] = static_cast<std::uint8_t>(255 - src[i]);
 }
 
 /// Number of bytes equal to `value`.
@@ -358,28 +317,22 @@ inline void neighbor_and3_u8(const std::uint8_t* t, std::uint8_t* dst,
 
 /// Byte histogram with four interleaved sub-histograms to break the
 /// store-to-load dependency chain of the classic one-table loop (the Otsu
-/// accumulation pass). Integer counts, so both paths are trivially
-/// bit-identical; the runtime switch only picks the unrolled layout.
+/// accumulation pass).
 inline void histogram_u8(const std::uint8_t* src, std::size_t n,
                          std::uint64_t hist[256]) noexcept {
-  std::memset(hist, 0, 256 * sizeof(std::uint64_t));
-  if (enabled()) {
-    std::uint64_t h0[256] = {};
-    std::uint64_t h1[256] = {};
-    std::uint64_t h2[256] = {};
-    std::uint64_t h3[256] = {};
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      ++h0[src[i]];
-      ++h1[src[i + 1]];
-      ++h2[src[i + 2]];
-      ++h3[src[i + 3]];
-    }
-    for (; i < n; ++i) ++h0[src[i]];
-    for (int v = 0; v < 256; ++v) hist[v] = h0[v] + h1[v] + h2[v] + h3[v];
-    return;
+  std::uint64_t h0[256] = {};
+  std::uint64_t h1[256] = {};
+  std::uint64_t h2[256] = {};
+  std::uint64_t h3[256] = {};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++h0[src[i]];
+    ++h1[src[i + 1]];
+    ++h2[src[i + 2]];
+    ++h3[src[i + 3]];
   }
-  for (std::size_t i = 0; i < n; ++i) ++hist[src[i]];
+  for (; i < n; ++i) ++h0[src[i]];
+  for (int v = 0; v < 256; ++v) hist[v] = h0[v] + h1[v] + h2[v] + h3[v];
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +340,8 @@ inline void histogram_u8(const std::uint8_t* src, std::size_t n,
 //
 // Contract: four lane-strided partial sums over the first n/4*4 elements,
 // combined as (l0 + l2) + (l1 + l3), then the tail appended sequentially.
-// Both paths implement this order exactly, so results are bit-identical.
+// The vector paths of l2sq_f32 and l1_f32 and every scalar loop implement
+// this order exactly, so results are bit-identical.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -402,46 +356,26 @@ namespace detail {
 #endif
 }  // namespace detail
 
-/// sum_i a[i]*b[i] in the lane-strided order documented above.
+/// sum_i a[i]*b[i] in the lane-strided order documented above. No vector
+/// path: an SSE2 loop did not reliably speed up template classification,
+/// its only hot caller.
 [[nodiscard]] inline float dot_f32(const float* a, const float* b,
                                    std::size_t n) noexcept {
   const std::size_t n4 = n & ~std::size_t{3};
-  float head = 0.0f;
+  float l0 = 0.0f, l1 = 0.0f, l2 = 0.0f, l3 = 0.0f;
   std::size_t i = 0;
-#if defined(TERO_SIMD_SSE2)
-  if (enabled()) {
-    __m128 acc = _mm_setzero_ps();
-    for (; i < n4; i += 4) {
-      acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(a + i),
-                                       _mm_loadu_ps(b + i)));
-    }
-    head = detail::reduce4(acc);
+  for (; i < n4; i += 4) {
+    l0 += a[i] * b[i];
+    l1 += a[i + 1] * b[i + 1];
+    l2 += a[i + 2] * b[i + 2];
+    l3 += a[i + 3] * b[i + 3];
   }
-#elif defined(TERO_SIMD_NEON)
-  if (enabled()) {
-    float32x4_t acc = vdupq_n_f32(0.0f);
-    for (; i < n4; i += 4) {
-      acc = vaddq_f32(acc, vmulq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-    }
-    head = (vgetq_lane_f32(acc, 0) + vgetq_lane_f32(acc, 2)) +
-           (vgetq_lane_f32(acc, 1) + vgetq_lane_f32(acc, 3));
-  }
-#endif
-  if (i == 0) {  // scalar path replays the exact lane order
-    float l0 = 0.0f, l1 = 0.0f, l2 = 0.0f, l3 = 0.0f;
-    for (; i < n4; i += 4) {
-      l0 += a[i] * b[i];
-      l1 += a[i + 1] * b[i + 1];
-      l2 += a[i + 2] * b[i + 2];
-      l3 += a[i + 3] * b[i + 3];
-    }
-    head = (l0 + l2) + (l1 + l3);
-  }
+  float head = (l0 + l2) + (l1 + l3);
   for (; i < n; ++i) head += a[i] * b[i];
   return head;
 }
 
-/// sum_i (a[i]-b[i])^2, same accumulation contract as dot_f32.
+/// sum_i (a[i]-b[i])^2 in the lane-strided order documented above.
 [[nodiscard]] inline float l2sq_f32(const float* a, const float* b,
                                     std::size_t n) noexcept {
   const std::size_t n4 = n & ~std::size_t{3};
@@ -488,7 +422,7 @@ namespace detail {
   return head;
 }
 
-/// sum_i |a[i]-b[i]|, same accumulation contract as dot_f32.
+/// sum_i |a[i]-b[i]|, same order as l2sq_f32.
 [[nodiscard]] inline float l1_f32(const float* a, const float* b,
                                   std::size_t n) noexcept {
   const std::size_t n4 = n & ~std::size_t{3};

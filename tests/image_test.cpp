@@ -195,10 +195,11 @@ GrayImage test_image(int w, int h, Fill fill, util::Rng& rng) {
   return ::testing::AssertionSuccess();
 }
 
-/// Puts the SIMD switch back to its default when a test ends, however it
+/// Puts the SIMD switch back to what it was when a test ends, however it
 /// ends.
 struct RestoreSimd {
-  ~RestoreSimd() { util::simd::apply_mode(util::simd::Mode::kAuto); }
+  ~RestoreSimd() { util::simd::set_enabled(saved); }
+  const bool saved = util::simd::enabled();
 };
 
 TEST(GrayImage, ConstructionAndFill) {
@@ -423,7 +424,8 @@ TEST(Ops, InvertAndForegroundRatio) {
   GrayImage img(10, 10, 0);
   img.fill_rect(Rect{0, 0, 5, 10}, 255);
   EXPECT_NEAR(foreground_ratio(img), 0.5, 1e-9);
-  const GrayImage inverted = invert(img);
+  GrayImage inverted = img;
+  invert_inplace(inverted);
   EXPECT_EQ(inverted.at(0, 0), 0);
   EXPECT_EQ(inverted.at(9, 9), 255);
 }
@@ -544,11 +546,18 @@ TEST(ConnectedComponents, MatchFloodFillReference) {
 
 TEST(Ops, NormalizeGlyphDensities) {
   GrayImage img(16, 16, 0);
-  img.fill_rect(Rect{0, 0, 8, 16}, 255);
-  const auto grid = normalize_glyph(img, Rect{0, 0, 16, 16}, 4);
-  ASSERT_EQ(grid.size(), 16u);
-  EXPECT_NEAR(grid[0], 1.0, 1e-9);   // left half is ink
-  EXPECT_NEAR(grid[3], 0.0, 1e-9);   // right half empty
+  img.fill_rect(Rect{0, 0, 8, 16}, 255);  // left half is ink
+  img.set(9, 0, 255);                      // one pixel of cell (2, 0)
+  float grid[4 * 4];
+  std::fill_n(grid, 4 * 4, -1.0f);  // every cell must be written
+  normalize_glyph(img, Rect{0, 0, 16, 16}, 4, grid);
+  for (int gy = 0; gy < 4; ++gy) {
+    for (int gx = 0; gx < 4; ++gx) {
+      // Each cell is a 4x4 block: 16 ink pixels, 1 or none.
+      const float want = gx < 2 ? 1.0f : (gx == 2 && gy == 0 ? 0.0625f : 0.0f);
+      EXPECT_EQ(grid[gy * 4 + gx], want) << "cell " << gx << "," << gy;
+    }
+  }
 }
 
 }  // namespace

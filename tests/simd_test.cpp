@@ -24,7 +24,10 @@ namespace simd = util::simd;
 /// Restores the dispatch switch after each test so ordering cannot leak.
 class SimdTest : public ::testing::Test {
  protected:
-  void TearDown() override { simd::apply_mode(simd::Mode::kAuto); }
+  void TearDown() override { simd::set_enabled(saved_); }
+
+ private:
+  const bool saved_ = simd::enabled();
 };
 
 /// Sizes that exercise empty input, sub-lane tails, exact lane multiples,
@@ -77,7 +80,9 @@ const std::vector<std::pair<int, int>> kImageSizes = {
     {1, 1}, {3, 5}, {17, 9}, {31, 7}, {64, 16}, {129, 33}, {240, 45}};
 
 // ---------------------------------------------------------------------------
-// Raw kernel bit-identity: run vectorized, force scalar, compare exactly.
+// Raw kernel bit-identity. A kernel with a vector path runs vectorized and
+// forced scalar and must give the same bits; a plain-loop kernel is checked
+// against a reference loop written out here.
 // ---------------------------------------------------------------------------
 
 TEST_F(SimdTest, BinarizeMatchesScalarForAllThresholds) {
@@ -85,14 +90,13 @@ TEST_F(SimdTest, BinarizeMatchesScalarForAllThresholds) {
     for (std::size_t n : kSizes) {
       const auto src = random_bytes(n, seed);
       for (int threshold : {0, 1, 42, 127, 128, 200, 254, 255}) {
-        std::vector<std::uint8_t> fast(n), slow(n);
-        simd::set_enabled(true);
-        simd::binarize_u8(src.data(), fast.data(), n,
+        std::vector<std::uint8_t> got(n), want(n);
+        simd::binarize_u8(src.data(), got.data(), n,
                           static_cast<std::uint8_t>(threshold));
-        simd::set_enabled(false);
-        simd::binarize_u8(src.data(), slow.data(), n,
-                          static_cast<std::uint8_t>(threshold));
-        ASSERT_EQ(fast, slow) << "n=" << n << " t=" << threshold;
+        for (std::size_t i = 0; i < n; ++i) {
+          want[i] = src[i] > threshold ? 255 : 0;
+        }
+        ASSERT_EQ(got, want) << "n=" << n << " t=" << threshold;
       }
     }
   }
@@ -102,7 +106,6 @@ TEST_F(SimdTest, BinarizeInPlaceAliasesSafely) {
   const auto src = random_bytes(1000, 7);
   auto aliased = src;
   std::vector<std::uint8_t> separate(src.size());
-  simd::set_enabled(true);
   simd::binarize_u8(aliased.data(), aliased.data(), aliased.size(), 99);
   simd::binarize_u8(src.data(), separate.data(), src.size(), 99);
   EXPECT_EQ(aliased, separate);
@@ -112,15 +115,15 @@ TEST_F(SimdTest, InvertMatchesScalar) {
   for (std::uint32_t seed : {1u, 9u}) {
     for (std::size_t n : kSizes) {
       const auto src = random_bytes(n, seed);
-      std::vector<std::uint8_t> fast(n), slow(n);
-      simd::set_enabled(true);
-      simd::invert_u8(src.data(), fast.data(), n);
-      simd::set_enabled(false);
-      simd::invert_u8(src.data(), slow.data(), n);
-      ASSERT_EQ(fast, slow) << "n=" << n;
+      std::vector<std::uint8_t> got(n), want(n);
+      simd::invert_u8(src.data(), got.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(fast[i], 255 - src[i]);
+        want[i] = static_cast<std::uint8_t>(255 - src[i]);
       }
+      ASSERT_EQ(got, want) << "n=" << n;
+      auto aliased = src;
+      simd::invert_u8(aliased.data(), aliased.data(), n);
+      ASSERT_EQ(aliased, want) << "in place n=" << n;
     }
   }
 }
@@ -206,16 +209,30 @@ TEST_F(SimdTest, HistogramMatchesScalar) {
   for (std::uint32_t seed : {12u, 13u}) {
     for (std::size_t n : kSizes) {
       const auto src = random_bytes(n, seed);
-      std::uint64_t fast[256], slow[256];
-      simd::set_enabled(true);
-      simd::histogram_u8(src.data(), n, fast);
-      simd::set_enabled(false);
-      simd::histogram_u8(src.data(), n, slow);
+      std::uint64_t got[256];
+      std::uint64_t want[256] = {};
+      // Poison the output: the kernel must overwrite every bin.
+      std::fill_n(got, 256, ~std::uint64_t{0});
+      simd::histogram_u8(src.data(), n, got);
+      for (const std::uint8_t byte : src) ++want[byte];
       for (int v = 0; v < 256; ++v) {
-        ASSERT_EQ(fast[v], slow[v]) << "n=" << n << " bin=" << v;
+        ASSERT_EQ(got[v], want[v]) << "n=" << n << " bin=" << v;
       }
     }
   }
+}
+
+/// dot_f32's accumulation order, written out: four lane-strided partial
+/// sums, combined as (l0 + l2) + (l1 + l3), then the tail in sequence.
+/// dot_f32 has no vector path left to hold it to that order, and
+/// `Extractor.ReadingsArePinned` depends on it.
+float lane_strided_dot(const float* a, const float* b, std::size_t n) {
+  float lane[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  const std::size_t n4 = n / 4 * 4;
+  for (std::size_t i = 0; i < n4; ++i) lane[i % 4] += a[i] * b[i];
+  float sum = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+  for (std::size_t i = n4; i < n; ++i) sum += a[i] * b[i];
+  return sum;
 }
 
 TEST_F(SimdTest, FloatReductionsBitIdentical) {
@@ -225,16 +242,16 @@ TEST_F(SimdTest, FloatReductionsBitIdentical) {
     for (std::size_t n : kSizes) {
       const auto a = random_floats(n, seed);
       const auto b = random_floats(n, seed + 1000);
+      const float dot = simd::dot_f32(a.data(), b.data(), n);
+      const float dot_want = lane_strided_dot(a.data(), b.data(), n);
+      ASSERT_EQ(0, std::memcmp(&dot, &dot_want, sizeof(float)))
+          << "dot n=" << n << " got=" << dot << " want=" << dot_want;
       simd::set_enabled(true);
-      const float dot_fast = simd::dot_f32(a.data(), b.data(), n);
       const float l2_fast = simd::l2sq_f32(a.data(), b.data(), n);
       const float l1_fast = simd::l1_f32(a.data(), b.data(), n);
       simd::set_enabled(false);
-      const float dot_slow = simd::dot_f32(a.data(), b.data(), n);
       const float l2_slow = simd::l2sq_f32(a.data(), b.data(), n);
       const float l1_slow = simd::l1_f32(a.data(), b.data(), n);
-      ASSERT_EQ(0, std::memcmp(&dot_fast, &dot_slow, sizeof(float)))
-          << "dot n=" << n << " fast=" << dot_fast << " slow=" << dot_slow;
       ASSERT_EQ(0, std::memcmp(&l2_fast, &l2_slow, sizeof(float)))
           << "l2 n=" << n;
       ASSERT_EQ(0, std::memcmp(&l1_fast, &l1_slow, sizeof(float)))
@@ -305,7 +322,8 @@ TEST_F(SimdTest, ImageOpsBitIdenticalOnRandomImages) {
       const auto bin_fast = image::binarize(gray, 127);
       const auto dil_fast = image::dilate3x3(binary);
       const auto ero_fast = image::erode3x3(binary);
-      const auto inv_fast = image::invert(binary);
+      image::GrayImage inv_fast = binary;
+      image::invert_inplace(inv_fast);
       const auto fg_fast = image::foreground_ratio(binary);
       const auto up_fast = image::upscale_bilinear(gray, 3);
       const auto cc_fast = image::connected_components(binary, 2);
@@ -316,7 +334,8 @@ TEST_F(SimdTest, ImageOpsBitIdenticalOnRandomImages) {
       const auto bin_slow = image::binarize(gray, 127);
       const auto dil_slow = image::dilate3x3(binary);
       const auto ero_slow = image::erode3x3(binary);
-      const auto inv_slow = image::invert(binary);
+      image::GrayImage inv_slow = binary;
+      image::invert_inplace(inv_slow);
       const auto fg_slow = image::foreground_ratio(binary);
       const auto up_slow = image::upscale_bilinear(gray, 3);
       const auto cc_slow = image::connected_components(binary, 2);
@@ -350,8 +369,6 @@ TEST_F(SimdTest, ArenaOverloadsMatchHeapOverloads) {
       const image::GrayImage binary = random_binary_image(w, h, seed + 500);
       EXPECT_TRUE(image::gaussian_blur(gray, 1.2) ==
                   image::gaussian_blur(gray, 1.2, arena));
-      EXPECT_TRUE(image::binarize(gray, 90) ==
-                  image::binarize(gray, 90, arena));
       EXPECT_TRUE(image::dilate3x3(binary) == image::dilate3x3(binary, arena));
       EXPECT_TRUE(image::erode3x3(binary) == image::erode3x3(binary, arena));
       EXPECT_TRUE(image::upscale_bilinear(gray, 4) ==
@@ -360,19 +377,44 @@ TEST_F(SimdTest, ArenaOverloadsMatchHeapOverloads) {
   }
 }
 
-TEST_F(SimdTest, NormalizeGlyphFloatSpanMatchesDoubleVector) {
+TEST_F(SimdTest, NormalizeGlyphMatchesCellDensities) {
+  // An in-frame box that does not divide evenly into the grid, and a box
+  // that overhangs the image, so the grid maps onto the clipped 10x10 box
+  // and cells are narrower than a pixel.
   for (std::uint32_t seed : {61u, 62u}) {
     const image::GrayImage binary = random_binary_image(40, 30, seed);
-    const image::Rect bounds{3, 2, 33, 25};
-    constexpr int kSize = 16;
-    const auto ref = image::normalize_glyph(binary, bounds, kSize);
-    float buf[kSize * kSize];
-    image::normalize_glyph(binary, bounds, kSize, buf);
-    ASSERT_EQ(ref.size(), static_cast<std::size_t>(kSize * kSize));
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      // Densities are small-denominator rationals; float holds them to
-      // within one ulp of the double version.
-      EXPECT_NEAR(ref[i], static_cast<double>(buf[i]), 1e-6) << "cell " << i;
+    for (const image::Rect bounds :
+         {image::Rect{3, 2, 33, 25}, image::Rect{30, 20, 20, 20}}) {
+      constexpr int kSize = 16;
+      float got[kSize * kSize];
+      std::fill_n(got, kSize * kSize, -1.0f);  // every cell must be written
+      image::normalize_glyph(binary, bounds, kSize, got);
+      const image::Rect box = bounds.intersect(image::Rect{0, 0, 40, 30});
+      for (int gy = 0; gy < kSize; ++gy) {
+        for (int gx = 0; gx < kSize; ++gx) {
+          // Cell (gx, gy) covers box columns [gx * w / 16, (gx + 1) * w / 16)
+          // and the same rows, at least one pixel each way.
+          const int x0 = box.x + gx * box.w / kSize;
+          const int x1 = std::min(
+              std::max(x0 + 1, box.x + (gx + 1) * box.w / kSize),
+              box.x + box.w);
+          const int y0 = box.y + gy * box.h / kSize;
+          const int y1 = std::min(
+              std::max(y0 + 1, box.y + (gy + 1) * box.h / kSize),
+              box.y + box.h);
+          int ink = 0;
+          for (int y = y0; y < y1; ++y) {
+            for (int x = x0; x < x1; ++x) ink += binary.at(x, y) == 255;
+          }
+          const int total = (x1 - x0) * (y1 - y0);
+          const float want =
+              static_cast<float>(ink) / static_cast<float>(total);
+          const float cell = got[gy * kSize + gx];
+          ASSERT_EQ(0, std::memcmp(&cell, &want, sizeof(float)))
+              << "cell " << gx << "," << gy << " got " << cell << " want "
+              << want;
+        }
+      }
     }
   }
 }
