@@ -346,7 +346,7 @@ void BM_Wasserstein(benchmark::State& state) {
 }
 BENCHMARK(BM_Wasserstein)->Arg(100)->Arg(1000);
 
-// Pipeline scaling over the work-stealing pool: one fixed synthetic world,
+// Pipeline scaling over the fork-join pool: one fixed synthetic world,
 // full-OCR extraction (the expensive exact code path), threads = 1/2/4/8.
 // Speedup should be near-linear until the core count; the thread count never
 // changes the output (see Determinism tests), only the wall clock.

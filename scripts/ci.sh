@@ -53,8 +53,9 @@
 #                against their per-pixel references), the region-only
 #                thumbnail render, the
 #                per-stage extraction microbenches (glyph segmentation
-#                included) and the tsdb chunk encode/decode and range-query
-#                benches checked against the committed floors in
+#                included), the tsdb chunk encode/decode and range-query
+#                benches and the 4-thread pool dispatch bench
+#                (BM_ParallelForOverhead/4) checked against the floors in
 #                bench/perf_baseline.txt (>15% throughput drop fails), and
 #                a TERO_SIMD=off full-OCR run that must reproduce the
 #                vectorized run's dataset digest exactly.
@@ -374,7 +375,7 @@ run_perf_smoke() {
   (
     cd build/bench
     ./bench_perf_micro \
-      --benchmark_filter='BM_OcrExtract|BM_Img|BM_Glyph|BM_OcrMatch|BM_OcrSegment|BM_ThumbnailRender|BM_ChunkEncode|BM_ChunkDecode|BM_TsdbRange' \
+      --benchmark_filter='BM_OcrExtract|BM_Img|BM_Glyph|BM_OcrMatch|BM_OcrSegment|BM_ThumbnailRender|BM_ChunkEncode|BM_ChunkDecode|BM_TsdbRange|BM_ParallelForOverhead/4' \
       --benchmark_min_time=0.05
     # Throughput floors: bench/perf_baseline.txt records the events/s each
     # stage sustained at the commit that last touched the fast path (scaled

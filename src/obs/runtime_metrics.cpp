@@ -14,15 +14,11 @@ void record_pool_stats(const util::ThreadPool::Stats& stats,
     registry.counter(p + name).add(now >= before ? now - before : 0);
   };
   bump(".tasks_run", stats.tasks_run, base.tasks_run);
-  bump(".steals", stats.steals, base.steals);
-  bump(".failed_steals", stats.failed_steals, base.failed_steals);
   bump(".parks", stats.parks, base.parks);
   bump(".parallel_for_calls", stats.parallel_for_calls,
        base.parallel_for_calls);
   bump(".parallel_for_failures", stats.parallel_for_failures,
        base.parallel_for_failures);
-  registry.gauge(p + ".max_queue_depth")
-      .set(static_cast<double>(stats.max_queue_depth));
   if (stats.parallel_for_failures > base.parallel_for_failures &&
       stats.last_failed_chunk >= 0) {
     registry

@@ -9,8 +9,8 @@
 namespace tero::obs {
 
 /// Export a ThreadPool's scheduling statistics into `registry` under
-/// `prefix` (counters tero.pool.tasks_run, .steals, .failed_steals, .parks,
-/// .parallel_for_calls, .parallel_for_failures; gauge .max_queue_depth).
+/// `prefix` (counters tero.pool.tasks_run, .parks, .parallel_for_calls and
+/// .parallel_for_failures).
 /// ThreadPool::Stats counters accumulate since pool construction, so the
 /// registry counters are bumped by the *delta* against the previous call
 /// with the same registry+prefix — track the previous snapshot in `last`.

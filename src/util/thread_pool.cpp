@@ -2,22 +2,35 @@
 
 #include <algorithm>
 #include <exception>
-#include <utility>
 
 namespace tero::util {
-namespace {
 
-/// Cheap xorshift for victim selection. Scheduling randomness never affects
-/// results (see the determinism contract in the header), so this only needs
-/// to spread thieves across victims, not be a good generator.
-std::uint64_t xorshift(std::uint64_t& state) noexcept {
-  state ^= state << 13;
-  state ^= state >> 7;
-  state ^= state << 17;
-  return state;
-}
+/// One parallel_for call. It lives on the caller's stack: safe because the
+/// caller returns only after taking it off open_ and seeing no visitor left,
+/// and no thread can pick it up once it is off the list.
+struct ThreadPool::Job {
+  Job(std::size_t begin, std::size_t end, std::size_t grain,
+      const std::function<void(std::size_t)>& fn)
+      : begin(begin),
+        end(end),
+        grain(grain),
+        chunks((end - begin + grain - 1) / grain),
+        fn(fn) {}
 
-}  // namespace
+  const std::size_t begin;
+  const std::size_t end;
+  const std::size_t grain;
+  const std::size_t chunks;
+  const std::function<void(std::size_t)>& fn;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed chunk
+  /// Set by the first throw; nobody claims a chunk after seeing it.
+  std::atomic<bool> failed{false};
+  /// Written only by the thread that set `failed`, read after the join.
+  std::exception_ptr error;
+  std::size_t error_chunk = 0;
+  std::size_t visitors = 0;  ///< guarded by mutex_: workers holding the job
+  std::condition_variable left;  ///< signalled when visitors drops to 0
+};
 
 std::size_t ThreadPool::resolve(std::size_t threads) noexcept {
   if (threads != 0) return threads;
@@ -26,62 +39,25 @@ std::size_t ThreadPool::resolve(std::size_t threads) noexcept {
 }
 
 ThreadPool::ThreadPool(std::size_t threads) : size_(resolve(threads)) {
-  const std::size_t workers = size_ > 0 ? size_ - 1 : 0;
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+  threads_.reserve(size_ - 1);
+  for (std::size_t i = 1; i < size_; ++i) {
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(park_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  park_cv_.notify_all();
+  wake_.notify_all();
   for (auto& thread : threads_) thread.join();
-}
-
-void ThreadPool::push_task(std::function<void()> task) {
-  const std::size_t target =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  std::size_t depth;
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-    workers_[target]->queue.push_back(std::move(task));
-    depth = workers_[target]->queue.size();
-  }
-  std::uint64_t seen = max_queue_depth_.load(std::memory_order_relaxed);
-  while (depth > seen && !max_queue_depth_.compare_exchange_weak(
-                             seen, depth, std::memory_order_relaxed)) {
-  }
-  {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    ++work_epoch_;
-  }
-  park_cv_.notify_one();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  push_task(std::move(task));
 }
 
 ThreadPool::Stats ThreadPool::stats() const noexcept {
   Stats stats;
   stats.tasks_run = tasks_run_.load(std::memory_order_relaxed);
-  stats.steals = steals_.load(std::memory_order_relaxed);
-  stats.failed_steals = failed_steals_.load(std::memory_order_relaxed);
   stats.parks = parks_.load(std::memory_order_relaxed);
-  stats.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
   stats.parallel_for_calls =
       parallel_for_calls_.load(std::memory_order_relaxed);
   stats.parallel_for_failures =
@@ -90,57 +66,46 @@ ThreadPool::Stats ThreadPool::stats() const noexcept {
   return stats;
 }
 
-bool ThreadPool::try_pop_own(std::size_t self, std::function<void()>& task) {
-  Worker& worker = *workers_[self];
-  std::lock_guard<std::mutex> lock(worker.mutex);
-  if (worker.queue.empty()) return false;
-  task = std::move(worker.queue.back());
-  worker.queue.pop_back();
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t thief_hint,
-                           std::function<void()>& task) {
-  if (workers_.empty()) return false;
-  std::uint64_t state = thief_hint * 0x9e3779b97f4a7c15ULL + 1;
-  const std::size_t start =
-      static_cast<std::size_t>(xorshift(state)) % workers_.size();
-  for (std::size_t offset = 0; offset < workers_.size(); ++offset) {
-    Worker& victim = *workers_[(start + offset) % workers_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (victim.queue.empty()) continue;
-    task = std::move(victim.queue.front());
-    victim.queue.pop_front();
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  failed_steals_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  std::uint64_t steal_state = (self + 1) * 0x2545f4914f6cdd1dULL;
-  for (;;) {
-    std::uint64_t epoch;
-    {
-      std::lock_guard<std::mutex> lock(park_mutex_);
-      epoch = work_epoch_;
+void ThreadPool::run_chunks(Job& job) {
+  std::uint64_t ran = 0;
+  while (!job.failed.load(std::memory_order_relaxed)) {
+    const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= job.chunks) break;
+    const std::size_t chunk_begin = job.begin + c * job.grain;
+    const std::size_t chunk_end = std::min(job.end, chunk_begin + job.grain);
+    ++ran;
+    try {
+      for (std::size_t i = chunk_begin; i < chunk_end; ++i) job.fn(i);
+    } catch (...) {
+      if (!job.failed.exchange(true, std::memory_order_relaxed)) {
+        job.error = std::current_exception();
+        job.error_chunk = c;
+      }
     }
-    std::function<void()> task;
-    if (try_pop_own(self, task) ||
-        try_steal(static_cast<std::size_t>(xorshift(steal_state)), task)) {
-      task();
-      tasks_run_.fetch_add(1, std::memory_order_relaxed);
+  }
+  tasks_run_.fetch_add(ran, std::memory_order_relaxed);
+}
+
+void ThreadPool::unlist(const Job& job) {
+  const auto it = std::find(open_.begin(), open_.end(), &job);
+  if (it != open_.end()) open_.erase(it);
+}
+
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!stop_) {
+    if (open_.empty()) {
+      parks_.fetch_add(1, std::memory_order_relaxed);
+      wake_.wait(lock, [this] { return stop_ || !open_.empty(); });
       continue;
     }
-    std::unique_lock<std::mutex> lock(park_mutex_);
-    if (stop_) return;  // all queues were empty at the scan above: drained
-    if (work_epoch_ == epoch) {
-      parks_.fetch_add(1, std::memory_order_relaxed);  // will actually block
-    }
-    park_cv_.wait(lock,
-                  [&] { return stop_ || work_epoch_ != epoch; });
-    if (stop_ && work_epoch_ == epoch) return;
+    Job& job = *open_.back();
+    ++job.visitors;
+    lock.unlock();
+    run_chunks(job);
+    lock.lock();
+    unlist(job);  // claimed out or failed: let nobody else pick it up
+    if (--job.visitors == 0) job.left.notify_one();
   }
 }
 
@@ -149,104 +114,35 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
   parallel_for_calls_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t n = end - begin;
-  const std::size_t chunk = std::max<std::size_t>(1, grain);
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-  if (workers_.empty() || num_chunks == 1) {
-    // Inline fast path, chunk-wise so failure accounting matches the
-    // parallel path: a throw records which chunk failed, then propagates.
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      const std::size_t chunk_begin = begin + c * chunk;
-      const std::size_t chunk_end = std::min(end, chunk_begin + chunk);
-      try {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) fn(i);
-      } catch (...) {
-        parallel_for_failures_.fetch_add(1, std::memory_order_relaxed);
-        last_failed_chunk_.store(static_cast<std::int64_t>(c),
-                                 std::memory_order_relaxed);
-        throw;
-      }
-      tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
-  }
-
-  // Per-call batch state. Lives on the caller's stack: safe because this
-  // function does not return until pending == 0, i.e. until every chunk
-  // task has finished touching it.
-  struct Batch {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t pending;
-    std::exception_ptr error;
-    std::size_t error_chunk = 0;  ///< chunk whose fn() threw first
-  };
-  Batch batch;
-  batch.pending = num_chunks;
-
-  auto run_chunk = [&batch, &fn](std::size_t chunk_index,
-                                 std::size_t chunk_begin,
-                                 std::size_t chunk_end) {
-    bool skip;
+  Job job(begin, end, std::max<std::size_t>(1, grain), fn);
+  // Wake no more workers than there are chunks beyond the caller's first.
+  const std::size_t helpers = std::min(threads_.size(), job.chunks - 1);
+  if (helpers > 0) {
     {
-      std::lock_guard<std::mutex> lock(batch.mutex);
-      skip = batch.error != nullptr;  // fail fast after the first throw
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_.push_back(&job);
     }
-    if (!skip) {
-      try {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(batch.mutex);
-        if (!batch.error) {
-          batch.error = std::current_exception();
-          batch.error_chunk = chunk_index;
-        }
-      }
-    }
-    std::lock_guard<std::mutex> lock(batch.mutex);
-    if (--batch.pending == 0) batch.done.notify_all();
-  };
-
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t chunk_begin = begin + c * chunk;
-    const std::size_t chunk_end = std::min(end, chunk_begin + chunk);
-    push_task([run_chunk, c, chunk_begin, chunk_end] {
-      run_chunk(c, chunk_begin, chunk_end);
-    });
+    for (std::size_t k = 0; k < helpers; ++k) wake_.notify_one();
   }
-
-  // Help instead of blocking: steal and execute tasks (our own chunks, or —
-  // under nested submission — anybody's) until our batch completes. Only
-  // block once no runnable task exists anywhere, which means every remaining
-  // chunk of this batch is already executing on some other thread.
-  std::uint64_t steal_state = 0x853c49e6748fea9bULL;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(batch.mutex);
-      if (batch.pending == 0) break;
-    }
-    std::function<void()> task;
-    if (try_steal(static_cast<std::size_t>(xorshift(steal_state)), task)) {
-      task();
-      tasks_run_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(batch.mutex);
-    batch.done.wait(lock, [&] { return batch.pending == 0; });
-    break;
+  run_chunks(job);
+  if (helpers > 0) {
+    // Every chunk is claimed (or the job failed), so only chunks already
+    // running on a visitor are left to wait for.
+    std::unique_lock<std::mutex> lock(mutex_);
+    unlist(job);
+    job.left.wait(lock, [&job] { return job.visitors == 0; });
   }
-
-  if (batch.error) {
+  if (job.failed.load(std::memory_order_relaxed)) {
     parallel_for_failures_.fetch_add(1, std::memory_order_relaxed);
-    last_failed_chunk_.store(static_cast<std::int64_t>(batch.error_chunk),
+    last_failed_chunk_.store(static_cast<std::int64_t>(job.error_chunk),
                              std::memory_order_relaxed);
-    std::rethrow_exception(batch.error);
+    std::rethrow_exception(job.error);
   }
 }
 
 void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || pool->size() <= 1) {
+  if (pool == nullptr) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

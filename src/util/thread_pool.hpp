@@ -4,9 +4,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -14,20 +12,21 @@
 
 namespace tero::util {
 
-/// Work-stealing thread pool behind the pipeline's parallel stages.
+/// Fork-join thread pool behind the pipeline's parallel stages.
 ///
-/// Architecture: every background worker owns a deque guarded by its own
-/// mutex. A worker pops from the back of its own deque (LIFO, cache-warm)
-/// and steals from the *front* of a random victim's deque (FIFO, oldest
-/// first). Idle workers park on a condition variable; a monotonically
-/// increasing work epoch makes the park/submit handshake immune to missed
-/// wakeups.
+/// Architecture: parallel_for() publishes one job on a mutex-guarded list of
+/// open jobs and wakes the idle workers. The caller and every woken worker
+/// then claim the job's chunks with one fetch_add on its atomic chunk
+/// counter until none are left. A worker counts itself as a visitor of the
+/// job while it holds it, and the caller returns once it has taken the job
+/// off the list and no visitor is left. Nested and concurrent calls each
+/// publish their own job; workers serve the newest open job first.
 ///
 /// `threads` counts the *total* parallelism including the calling thread:
-/// a pool of size N spawns N-1 background workers and the thread that calls
-/// parallel_for() participates by stealing chunks while it waits. A pool of
-/// size 1 spawns no workers at all and parallel_for() degenerates to a plain
-/// inline loop — the deterministic fast path.
+/// a pool of size N spawns N-1 background workers, and the calling thread
+/// runs chunks of its own job. A pool of size 1 spawns no workers at all;
+/// a job with no worker to share it (or a single chunk) is never published,
+/// so the caller runs it alone — the deterministic fast path.
 ///
 /// Determinism contract: the pool never promises any execution *order*;
 /// callers obtain bit-identical results for any thread count by (1) deriving
@@ -51,11 +50,9 @@ class ThreadPool {
   /// stays oblivious to them, preserving the determinism contract). Exported
   /// into an obs::MetricsRegistry by obs::record_pool_stats().
   struct Stats {
-    std::uint64_t tasks_run = 0;      ///< tasks executed (any thread)
-    std::uint64_t steals = 0;         ///< successful victim-queue pops
-    std::uint64_t failed_steals = 0;  ///< full victim scans that found nothing
-    std::uint64_t parks = 0;          ///< times a worker blocked on the CV
-    std::uint64_t max_queue_depth = 0;  ///< high-water mark of any one deque
+    /// Chunks whose body ran, on any thread, the one that threw included.
+    std::uint64_t tasks_run = 0;
+    std::uint64_t parks = 0;  ///< times a worker blocked waiting for a job
     std::uint64_t parallel_for_calls = 0;
     std::uint64_t parallel_for_failures = 0;  ///< calls that rethrew
     /// Chunk index whose fn() threw in the most recent failing
@@ -71,52 +68,38 @@ class ThreadPool {
 
   /// Run fn(i) for every i in [begin, end), splitting the range into chunks
   /// of `grain` indices. Blocks until every index has been processed.
-  /// The first exception thrown by fn is rethrown here (remaining chunks
-  /// that have not started yet are skipped). Nested calls from inside fn are
-  /// supported: a waiting thread executes other tasks instead of blocking,
-  /// so inner parallel_for calls cannot deadlock the pool.
+  /// The first exception thrown by fn is rethrown here (chunks that have not
+  /// started yet are skipped). Nested calls from inside fn are supported:
+  /// the inner caller runs its own job's chunks and waits only for chunks
+  /// another thread is already running, so it cannot deadlock the pool.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Fire-and-forget task; with no background workers it runs inline.
-  /// Tasks still queued when the pool is destroyed are drained by the
-  /// destructor before the workers exit.
-  void submit(std::function<void()> task);
-
  private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> queue;
-  };
+  struct Job;
 
-  void push_task(std::function<void()> task);
-  bool try_pop_own(std::size_t self, std::function<void()>& task);
-  bool try_steal(std::size_t thief_hint, std::function<void()>& task);
-  void worker_loop(std::size_t self);
+  void run_chunks(Job& job);
+  void unlist(const Job& job);  ///< requires mutex_
+  void worker_loop();
 
   std::size_t size_ = 1;
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  std::mutex park_mutex_;
-  std::condition_variable park_cv_;
-  std::uint64_t work_epoch_ = 0;  ///< guarded by park_mutex_
-  bool stop_ = false;             ///< guarded by park_mutex_
-  std::atomic<std::uint64_t> next_queue_{0};  ///< round-robin push cursor
+  std::mutex mutex_;
+  std::condition_variable wake_;  ///< idle workers wait here for a job
+  std::vector<Job*> open_;        ///< guarded by mutex_, newest last
+  bool stop_ = false;             ///< guarded by mutex_
 
   // Scheduling statistics (see Stats). All relaxed: they order nothing.
   std::atomic<std::uint64_t> tasks_run_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> failed_steals_{0};
   std::atomic<std::uint64_t> parks_{0};
-  std::atomic<std::uint64_t> max_queue_depth_{0};
   std::atomic<std::uint64_t> parallel_for_calls_{0};
   std::atomic<std::uint64_t> parallel_for_failures_{0};
   std::atomic<std::int64_t> last_failed_chunk_{-1};
 };
 
-/// parallel_for over an optional pool: a null pool (or a pool of size 1)
-/// runs the loop inline on the calling thread.
+/// parallel_for over an optional pool: a null pool runs the loop inline on
+/// the calling thread, with no chunking and no statistics.
 void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t)>& fn);
 

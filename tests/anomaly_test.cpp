@@ -37,12 +37,20 @@ TEST(Iqr, TinyInputNeverFlags) {
   for (bool flag : iqr_outliers(tiny)) EXPECT_FALSE(flag);
 }
 
-class DetectorTest
-    : public ::testing::TestWithParam<std::function<
-          std::unique_ptr<AnomalyDetector>()>> {};
+/// One detector under test. Cases print and are named as detector->name(),
+/// so test ids are the same in every build (gtest would otherwise print the
+/// factory's bytes, pointers included).
+struct DetectorCase {
+  std::function<std::unique_ptr<AnomalyDetector>()> make;
+  friend void PrintTo(const DetectorCase& c, std::ostream* os) {
+    *os << c.make()->name();
+  }
+};
+
+class DetectorTest : public ::testing::TestWithParam<DetectorCase> {};
 
 TEST_P(DetectorTest, FindsPlantedOutliers) {
-  const auto detector = GetParam()();
+  const auto detector = GetParam().make();
   const auto series = series_with_outliers({30, 31, 150});
   const auto flags = detector->detect(series);
   ASSERT_EQ(flags.size(), series.size());
@@ -51,7 +59,7 @@ TEST_P(DetectorTest, FindsPlantedOutliers) {
 }
 
 TEST_P(DetectorTest, QuietOnCleanSeries) {
-  const auto detector = GetParam()();
+  const auto detector = GetParam().make();
   const auto series = series_with_outliers({});
   const auto flags = detector->detect(series);
   int flagged = 0;
@@ -63,7 +71,7 @@ TEST_P(DetectorTest, QuietOnCleanSeries) {
 }
 
 TEST_P(DetectorTest, HandlesDegenerateInputs) {
-  const auto detector = GetParam()();
+  const auto detector = GetParam().make();
   EXPECT_TRUE(detector->detect(std::vector<double>{}).empty());
   const std::vector<double> constant(20, 42.0);
   const auto flags = detector->detect(constant);
@@ -72,9 +80,12 @@ TEST_P(DetectorTest, HandlesDegenerateInputs) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllDetectors, DetectorTest,
-    ::testing::Values([] { return make_lof(); },
-                      [] { return make_iforest(); },
-                      [] { return make_mcd(); }));
+    ::testing::Values(DetectorCase{[] { return make_lof(); }},
+                      DetectorCase{[] { return make_iforest(); }},
+                      DetectorCase{[] { return make_mcd(); }}),
+    [](const ::testing::TestParamInfo<DetectorCase>& info) {
+      return info.param.make()->name();
+    });
 
 TEST(Lof, KControlsSensitivity) {
   // A tight pair of outliers: with K=1 each outlier has a near neighbour

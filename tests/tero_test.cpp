@@ -802,8 +802,7 @@ TEST(Funnel, StagesAreMonotonicAndExportMatches) {
   for (const char* key :
        {"tero.funnel.thumbnails", "tero.funnel.visible",
         "tero.funnel.ocr_ok", "tero.funnel.retained",
-        "tero.funnel.clustered", "tero.pool.tasks_run", "tero.pool.steals",
-        "tero.pool.failed_steals", "tero.pool.parks"}) {
+        "tero.funnel.clustered", "tero.pool.tasks_run", "tero.pool.parks"}) {
     EXPECT_TRUE(counters.contains(key)) << key;
   }
 }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <exception>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -107,16 +110,81 @@ TEST(ThreadPool, StressManySmallTasks) {
   EXPECT_EQ(sum, static_cast<std::uint64_t>(kN) * (kN - 1) / 2);
 }
 
-TEST(ThreadPool, SubmitRunsFireAndForgetTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&] { ++ran; });
+TEST(ThreadPool, ConcurrentCallersGetTheirOwnJobs) {
+  // Two outside threads share one pool: one nests an inner parallel_for in
+  // every index, the other throws at a fixed index. The ranges are disjoint,
+  // so a chunk run with the other caller's body shows up as a stray index.
+  ThreadPool pool(4);
+  constexpr int kRounds = 50;
+  constexpr std::size_t kOuter = 32;
+  constexpr std::size_t kInner = 16;
+  constexpr std::size_t kFlatBegin = 10'000;
+  constexpr std::size_t kFlatEnd = 12'000;
+  constexpr std::size_t kGrain = 4;
+  constexpr std::size_t kThrowAt = 11'234;  // chunk [11'232, 11'236)
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::atomic<int>> nested_hits(kOuter * kInner);
+    std::vector<std::atomic<int>> flat_hits(kFlatEnd - kFlatBegin);
+    std::atomic<int> strays{0};
+    std::exception_ptr nested_error;
+    std::exception_ptr flat_error;
+    std::thread nester([&] {
+      try {
+        pool.parallel_for(0, kOuter, 1, [&](std::size_t i) {
+          if (i >= kOuter) {
+            ++strays;
+            return;
+          }
+          pool.parallel_for(0, kInner, 1, [&, i](std::size_t j) {
+            if (j >= kInner) {
+              ++strays;
+              return;
+            }
+            ++nested_hits[i * kInner + j];
+          });
+        });
+      } catch (...) {
+        nested_error = std::current_exception();
+      }
+    });
+    std::thread thrower([&] {
+      try {
+        pool.parallel_for(kFlatBegin, kFlatEnd, kGrain, [&](std::size_t i) {
+          if (i < kFlatBegin || i >= kFlatEnd) {
+            ++strays;
+            return;
+          }
+          if (i == kThrowAt) throw std::out_of_range("flat");
+          ++flat_hits[i - kFlatBegin];
+        });
+      } catch (...) {
+        flat_error = std::current_exception();
+      }
+    });
+    nester.join();
+    thrower.join();
+
+    ASSERT_EQ(strays, 0) << "round " << round;
+    ASSERT_FALSE(nested_error) << "round " << round;
+    for (std::size_t k = 0; k < nested_hits.size(); ++k) {
+      ASSERT_EQ(nested_hits[k], 1) << "round " << round << " index " << k;
     }
-    // Destructor drains the queues before joining the workers.
+    ASSERT_TRUE(flat_error) << "round " << round;
+    EXPECT_THROW(std::rethrow_exception(flat_error), std::out_of_range);
+    // Fail-fast skips unstarted chunks, so apart from the failing chunk the
+    // thrower's coverage is "at most once"; that chunk ran up to the throw.
+    for (std::size_t k = 0; k < flat_hits.size(); ++k) {
+      ASSERT_LE(flat_hits[k], 1) << "round " << round << " index " << k;
+    }
+    EXPECT_EQ(flat_hits[kThrowAt - 2 - kFlatBegin], 1);
+    EXPECT_EQ(flat_hits[kThrowAt - 1 - kFlatBegin], 1);
+    EXPECT_EQ(flat_hits[kThrowAt - kFlatBegin], 0);
+    EXPECT_EQ(flat_hits[kThrowAt + 1 - kFlatBegin], 0);
   }
-  EXPECT_EQ(ran, 64);
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.parallel_for_failures, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(stats.last_failed_chunk,
+            static_cast<std::int64_t>((kThrowAt - kFlatBegin) / kGrain));
 }
 
 TEST(ParallelMap, ResultsLandInTaskOrder) {
@@ -135,6 +203,19 @@ TEST(ParallelMap, NullPoolRunsInline) {
       parallel_map(nullptr, 16, 4, [](std::size_t i) { return 2 * i; });
   ASSERT_EQ(doubled.size(), 16u);
   EXPECT_EQ(doubled[15], 30u);
+}
+
+TEST(ParallelMap, SizeOnePoolRunsThroughThePool) {
+  // Only a null pool bypasses the pool; a size-1 pool runs inline but still
+  // counts the call and its chunks.
+  ThreadPool pool(1);
+  const auto doubled =
+      parallel_map(&pool, 16, 4, [](std::size_t i) { return 2 * i; });
+  ASSERT_EQ(doubled.size(), 16u);
+  EXPECT_EQ(doubled[15], 30u);
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.parallel_for_calls, 1u);
+  EXPECT_EQ(stats.tasks_run, 4u);
 }
 
 TEST(ParallelMap, IndexedRngMakesResultsThreadCountInvariant) {
@@ -173,14 +254,6 @@ TEST(ThreadPoolStats, CountsPooledParallelFor) {
   const auto stats = pool.stats();
   EXPECT_EQ(stats.parallel_for_calls, 1u);
   EXPECT_EQ(stats.tasks_run, 10u);  // every chunk executed exactly once
-  EXPECT_GE(stats.max_queue_depth, 1u);
-}
-
-TEST(ThreadPoolStats, SubmitCountsOnTheInlinePathToo) {
-  ThreadPool pool(1);
-  pool.submit([] {});
-  pool.submit([] {});
-  EXPECT_EQ(pool.stats().tasks_run, 2u);
 }
 
 TEST(ThreadPoolStats, RecordsFailingChunkIndexInline) {
@@ -211,6 +284,39 @@ TEST(ThreadPoolStats, RecordsFailingChunkIndexPooled) {
   // grain 1 -> chunk index == element index; 437 is the only chunk that can
   // throw, so fail-fast ordering cannot report anything else.
   EXPECT_EQ(stats.last_failed_chunk, 437);
+}
+
+TEST(ThreadPoolStats, InlineTasksRunCountsTheThrowingChunk) {
+  ThreadPool pool(1);
+  int calls = 0;
+  EXPECT_THROW(pool.parallel_for(0, 100, 10,
+                                 [&](std::size_t i) {
+                                   ++calls;
+                                   if (i == 57) {
+                                     throw std::runtime_error("boom");
+                                   }
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(calls, 58);  // indices 0..57; chunks [60, 100) never start
+  EXPECT_EQ(pool.stats().tasks_run, 6u);  // chunks 0..5, the thrower included
+}
+
+TEST(ThreadPoolStats, PooledTasksRunCountsOnlyChunksThatRan) {
+  // grain 1: one body call per chunk, so tasks_run must equal the calls
+  // made, the throwing one included and the skipped chunks not.
+  ThreadPool pool(4);
+  std::atomic<std::uint64_t> calls{0};
+  EXPECT_THROW(pool.parallel_for(0, 1000, 1,
+                                 [&](std::size_t i) {
+                                   ++calls;
+                                   if (i == 437) {
+                                     throw std::runtime_error("boom");
+                                   }
+                                 }),
+               std::runtime_error);
+  EXPECT_GE(calls.load(), 1u);
+  EXPECT_LE(calls.load(), 1000u);
+  EXPECT_EQ(pool.stats().tasks_run, calls.load());
 }
 
 TEST(ThreadPoolStats, RegistryStaysConsistentAfterMidChunkThrow) {
