@@ -212,7 +212,7 @@ void BM_GlyphNormalize(benchmark::State& state) {
                benchmark::DoNotOptimize(grid);
              });
 }
-BENCHMARK(BM_GlyphNormalize)->Arg(1)->Arg(0);
+BENCHMARK(BM_GlyphNormalize)->Arg(1);
 
 /// A real preprocessed League of Legends latency crop: the binary image
 /// segmentation and the engines see.

@@ -376,7 +376,7 @@ run_perf_smoke() {
     cd build/bench
     ./bench_perf_micro \
       --benchmark_filter='BM_OcrExtract|BM_Img|BM_Glyph|BM_OcrMatch|BM_OcrSegment|BM_ThumbnailRender|BM_ChunkEncode|BM_ChunkDecode|BM_TsdbRange|BM_ParallelForOverhead/4' \
-      --benchmark_min_time=0.05
+      --benchmark_min_time=0.05 --benchmark_repetitions=5
     # Throughput floors: bench/perf_baseline.txt records the events/s each
     # stage sustained at the commit that last touched the fast path (scaled
     # down for slow CI machines); dropping more than 15% below a floor

@@ -177,30 +177,6 @@ void morph_into(const GrayImage& src, GrayImage& dst, bool dilate,
   return out;
 }
 
-/// Foreground and total pixel counts of one normalize_glyph grid cell.
-struct CellCount {
-  std::size_t ink = 0;
-  std::size_t total = 0;
-};
-
-[[nodiscard]] CellCount count_cell(const GrayImage& img, const Rect& clipped,
-                                   int gx, int gy, int size) noexcept {
-  // Map the grid cell to a pixel block in the bounding box.
-  const int x0 = clipped.x + gx * clipped.w / size;
-  const int x1 = std::max(x0 + 1, clipped.x + (gx + 1) * clipped.w / size);
-  const int y0 = clipped.y + gy * clipped.h / size;
-  const int y1 = std::max(y0 + 1, clipped.y + (gy + 1) * clipped.h / size);
-  const int x_end = std::min(x1, clipped.x + clipped.w);
-  const int y_end = std::min(y1, clipped.y + clipped.h);
-  CellCount count;
-  for (int y = y0; y < y_end; ++y) {
-    const std::size_t span = static_cast<std::size_t>(x_end - x0);
-    count.ink += simd::count_eq_u8(img.row(y) + x0, span, 255);
-    count.total += span;
-  }
-  return count;
-}
-
 }  // namespace
 
 GrayImage upscale_bilinear(const GrayImage& img, int factor) {
@@ -417,18 +393,38 @@ std::vector<Component> connected_components(const GrayImage& img,
 }
 
 void normalize_glyph(const GrayImage& img, const Rect& bounds, int size,
-                     std::span<float> out) noexcept {
+                     std::span<float> out) {
   const std::size_t cells = static_cast<std::size_t>(size) * size;
   std::fill(out.begin(), out.begin() + cells, 0.0f);
   const Rect clipped = bounds.intersect(Rect{0, 0, img.width(), img.height()});
   if (clipped.empty()) return;
+  // Per grid row: ink[c] = foreground pixels in the box's columns [0, c)
+  // over the row's pixel rows, so each cell's count is one difference.
+  const std::size_t w = static_cast<std::size_t>(clipped.w);
+  Arena& scratch = Arena::thread_local_arena();
+  const Arena::Frame frame(scratch);
+  std::uint32_t* const ink = scratch_array<std::uint32_t>(scratch, w + 1);
   for (int gy = 0; gy < size; ++gy) {
+    // Map the grid cell to a pixel block in the bounding box (box-relative
+    // columns, image rows).
+    const int y0 = clipped.y + gy * clipped.h / size;
+    const int y1 = std::max(y0 + 1, clipped.y + (gy + 1) * clipped.h / size);
+    const int y_end = std::min(y1, clipped.y + clipped.h);
+    std::fill_n(ink, w + 1, 0u);
+    for (int y = y0; y < y_end; ++y) {
+      const std::uint8_t* const row = img.row(y) + clipped.x;
+      for (std::size_t c = 0; c < w; ++c) ink[c + 1] += row[c] == 255;
+    }
+    for (std::size_t c = 0; c < w; ++c) ink[c + 1] += ink[c];
     for (int gx = 0; gx < size; ++gx) {
-      const CellCount cell = count_cell(img, clipped, gx, gy, size);
+      const int x0 = gx * clipped.w / size;
+      const int x1 = std::max(x0 + 1, (gx + 1) * clipped.w / size);
+      const int x_end = std::min(x1, clipped.w);
+      const std::size_t total =
+          static_cast<std::size_t>(x_end - x0) * (y_end - y0);
       out[static_cast<std::size_t>(gy) * size + gx] =
-          cell.total > 0
-              ? static_cast<float>(cell.ink) / static_cast<float>(cell.total)
-              : 0.0f;
+          static_cast<float>(ink[x_end] - ink[x0]) /
+          static_cast<float>(total);
     }
   }
 }

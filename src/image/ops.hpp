@@ -62,8 +62,9 @@ struct Component {
 /// Resample the foreground bounding box of a binary glyph onto a `size`x
 /// `size` grid of pixel densities in [0,1] — the normalized form the OCR
 /// engines classify. Writes into caller-owned storage (out.size() >=
-/// size*size) so the per-glyph engine loops allocate nothing.
+/// size*size); its one scratch row of column counts comes from this
+/// thread's arena and is released on return.
 void normalize_glyph(const GrayImage& img, const Rect& bounds, int size,
-                     std::span<float> out) noexcept;
+                     std::span<float> out);
 
 }  // namespace tero::image

@@ -65,17 +65,22 @@ obs::Histogram* task_histogram(obs::MetricsRegistry* metrics,
 
 }  // namespace
 
-LocatedWorld locate_streamers(const synth::World& world) {
+LocatedWorld locate_streamers(const synth::World& world,
+                              util::ThreadPool* pool) {
   LocatedWorld out;
   const social::Locator locator(world.twitter(), world.steam());
-  out.located.resize(world.streamers().size());
-  out.sources.assign(world.streamers().size(), social::LocationSource::kNone);
-  out.located_after.resize(world.streamers().size());
-  for (std::size_t i = 0; i < world.streamers().size(); ++i) {
-    const auto result = locator.locate(world.streamers()[i].twitch);
-    out.located[i] = result.location;
-    out.sources[i] = result.source;
-    if (result.located()) ++out.streamers_located;
+  const std::size_t n = world.streamers().size();
+  const std::vector<social::LocatorResult> results =
+      util::parallel_map(pool, n, 1, [&](std::size_t i) {
+        return locator.locate(world.streamers()[i].twitch);
+      });
+  out.located.resize(n);
+  out.sources.resize(n);
+  out.located_after.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.located[i] = results[i].location;
+    out.sources[i] = results[i].source;
+    if (results[i].located()) ++out.streamers_located;
   }
 
   // §3.1.1: multiple locations per streamer. A relocated streamer advertises
@@ -317,7 +322,7 @@ Dataset Pipeline::run(const synth::World& world,
   {
     const obs::ScopedSpan stage_span(trace, "stage.location", "stage");
     const obs::ScopedTimer stage_timer(stage_histogram(metrics, "location"));
-    located = locate_streamers(world);
+    located = locate_streamers(world, pool_.get());
     dataset.funnel.streamers_total = world.streamers().size();
     dataset.funnel.streamers_located = located.streamers_located;
   }

@@ -165,8 +165,11 @@ struct LocatedWorld {
   std::size_t streamers_located = 0;
 };
 
-/// Run the location module over every streamer in the world.
-[[nodiscard]] LocatedWorld locate_streamers(const synth::World& world);
+/// Run the location module over every streamer in the world, the
+/// per-streamer lookups on `pool` when one is given. The result does not
+/// depend on the pool.
+[[nodiscard]] LocatedWorld locate_streamers(const synth::World& world,
+                                            util::ThreadPool* pool = nullptr);
 
 /// Location epoch of a ground-truth stream: 0 before the streamer's
 /// relocation takes effect, 1 after (only when the relocation was observed

@@ -1,13 +1,17 @@
 #pragma once
 
-// Portable 128-bit SIMD layer for the extraction hot path (DESIGN.md §12).
+// Portable SIMD layer for the extraction hot path (DESIGN.md §12).
 //
 // Design rules:
-//  - One vector width (128 bit), three backends: SSE2 (x86-64 baseline),
-//    NEON (aarch64), and a scalar fallback. The backend is picked at compile
+//  - 128-bit vectors on three backends: SSE2 (x86-64 baseline), NEON
+//    (aarch64), and a scalar fallback. The backend is picked at compile
 //    time; `enabled()` additionally gates every vector path at runtime so
 //    the determinism suites can force the scalar path (TERO_SIMD=off) in the
 //    same binary and assert bit-identity.
+//  - The f64 row kernels alone also have a 256-bit AVX2 body in front of
+//    their SSE2 loop. It is compiled per function with target("avx2") (no
+//    -march, no FMA) and runs when enabled() holds and the CPU, asked once,
+//    reports AVX2 (`avx2_enabled()`).
 //  - A kernel keeps a vector path only where it beats its scalar loop in the
 //    stage that calls it: the morphology row ops, count_eq_u8, find_eq_u8,
 //    l2sq_f32, l1_f32 and the f64 row kernels. binarize_u8, invert_u8,
@@ -19,9 +23,9 @@
 //    four lane-strided partial sums over the first n/4*4 elements, combined
 //    as (l0 + l2) + (l1 + l3), then the tail added sequentially. The scalar
 //    path implements exactly that order, so `l2sq_f32(a, b, n)` returns the
-//    same bits whether or not SIMD is enabled. (The build stays on baseline
-//    SSE2 with no FMA contraction, so the compiler cannot fuse the scalar
-//    multiply-adds into operations the vector path does not use.)
+//    same bits whether or not SIMD is enabled. (No code is compiled with
+//    FMA enabled, so the compiler cannot fuse the scalar multiply-adds into
+//    operations the vector path does not use.)
 //  - Kernels take raw pointers + length; callers are responsible for
 //    lifetime. dst may alias src for the pointwise kernels.
 
@@ -39,6 +43,13 @@
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)
 #include <arm_neon.h>
 #define TERO_SIMD_NEON 1
+#endif
+
+// The AVX2 bodies (see above) need per-function target attributes.
+#if defined(TERO_SIMD_SSE2) && defined(__GNUC__) && \
+    (defined(__x86_64__) || defined(__i386__))
+#include <immintrin.h>
+#define TERO_SIMD_AVX2 1
 #endif
 
 namespace tero::util::simd {
@@ -80,6 +91,20 @@ inline std::atomic<bool>& runtime_flag() noexcept {
 /// save enabled() first and restore it when they finish.
 inline void set_enabled(bool on) noexcept {
   detail::runtime_flag().store(on && compiled(), std::memory_order_relaxed);
+}
+
+/// True when the f64 row kernels' AVX2 bodies run: enabled(), and the CPU
+/// reports AVX2 (asked once). TERO_SIMD=off therefore turns them off too.
+[[nodiscard]] inline bool avx2_enabled() noexcept {
+#if defined(TERO_SIMD_AVX2)
+  static const bool cpu_has_avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return cpu_has_avx2 && enabled();
+#else
+  return false;
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -470,9 +495,10 @@ namespace detail {
 // over f64 rows. Outputs are independent pixels, so vectorizing ACROSS
 // outputs keeps each output's products, add order, clamp and truncation
 // those of the scalar loop: the kernels are bit-identical scalar-vs-SIMD and
-// to the per-pixel code that converted a byte once per tap. The SSE2 paths
-// keep four independent 2-lane accumulators (8 outputs) in flight; the
-// scalar loop computes each output in the same order and takes the tails.
+// to the per-pixel code that converted a byte once per tap. The AVX2 bodies
+// take 16 outputs per step, the SSE2 loops 8 (the blur's with four
+// independent 2-lane accumulators), and the scalar loop computes each
+// output in the same order and takes the tails.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -496,12 +522,123 @@ inline void store8_u8(std::uint8_t* dst, __m128i a, __m128i b, __m128i c,
 [[nodiscard]] inline std::uint8_t clamp_trunc_u8(double v) noexcept {
   return static_cast<std::uint8_t>(v < 0.0 ? 0.0 : (v > 255.0 ? 255.0 : v));
 }
+
+#if defined(TERO_SIMD_AVX2)
+// AVX2 bodies of the f64 row kernels, 16 outputs per step. The blur's two
+// keep four independent 4-lane accumulators, each tap's product added in
+// tap order, then clamped and truncated as above. Each body returns the
+// first output it left to the caller's SSE2 and scalar loops. The target
+// is exactly "avx2": GCC contracts a C++ multiply and add into one FMA
+// wherever FMA is enabled, and the fused op rounds once where the scalar
+// loop rounds twice, which changes outputs.
+__attribute__((target("avx2"))) [[nodiscard]] inline __m128i
+clamp_trunc_u8_avx2(__m256d v) noexcept {
+  return _mm256_cvttpd_epi32(_mm256_min_pd(
+      _mm256_max_pd(v, _mm256_setzero_pd()), _mm256_set1_pd(255.0)));
+}
+
+__attribute__((target("avx2"))) [[nodiscard]] inline std::size_t
+conv_valid_f64_avx2(const double* src, std::size_t n, const double* kernel,
+                    std::size_t taps, double* dst) noexcept {
+  std::size_t x = 0;
+  for (; x + 16 <= n; x += 16) {
+    __m256d a0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd();
+    const double* const s = src + x;
+    for (std::size_t i = 0; i < taps; ++i) {
+      const __m256d k = _mm256_set1_pd(kernel[i]);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(k, _mm256_loadu_pd(s + i)));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(k, _mm256_loadu_pd(s + i + 4)));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(k, _mm256_loadu_pd(s + i + 8)));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(k, _mm256_loadu_pd(s + i + 12)));
+    }
+    _mm256_storeu_pd(dst + x, _mm256_cvtepi32_pd(clamp_trunc_u8_avx2(a0)));
+    _mm256_storeu_pd(dst + x + 4, _mm256_cvtepi32_pd(clamp_trunc_u8_avx2(a1)));
+    _mm256_storeu_pd(dst + x + 8, _mm256_cvtepi32_pd(clamp_trunc_u8_avx2(a2)));
+    _mm256_storeu_pd(dst + x + 12,
+                     _mm256_cvtepi32_pd(clamp_trunc_u8_avx2(a3)));
+  }
+  return x;
+}
+
+__attribute__((target("avx2"))) [[nodiscard]] inline std::size_t
+conv_rows_f64_u8_avx2(const double* const* rows, std::size_t n,
+                      const double* kernel, std::size_t taps,
+                      std::uint8_t* dst) noexcept {
+  std::size_t x = 0;
+  for (; x + 16 <= n; x += 16) {
+    __m256d a0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < taps; ++i) {
+      const __m256d k = _mm256_set1_pd(kernel[i]);
+      const double* const r = rows[i] + x;
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(k, _mm256_loadu_pd(r)));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(k, _mm256_loadu_pd(r + 4)));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(k, _mm256_loadu_pd(r + 8)));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(k, _mm256_loadu_pd(r + 12)));
+    }
+    const __m128i lo = _mm_packs_epi32(clamp_trunc_u8_avx2(a0),
+                                       clamp_trunc_u8_avx2(a1));
+    const __m128i hi = _mm_packs_epi32(clamp_trunc_u8_avx2(a2),
+                                       clamp_trunc_u8_avx2(a3));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + x),
+                     _mm_packus_epi16(lo, hi));
+  }
+  return x;
+}
+
+__attribute__((target("avx2"))) [[nodiscard]] inline std::size_t
+widen_u8_f64_avx2(const std::uint8_t* src, std::size_t n,
+                  double* dst) noexcept {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m128i b =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    _mm256_storeu_pd(dst + i, _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(b)));
+    _mm256_storeu_pd(dst + i + 4, _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(
+                                      _mm_srli_si128(b, 4))));
+    _mm256_storeu_pd(dst + i + 8, _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(
+                                      _mm_srli_si128(b, 8))));
+    _mm256_storeu_pd(dst + i + 12, _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(
+                                       _mm_srli_si128(b, 12))));
+  }
+  return i;
+}
+
+__attribute__((target("avx2"))) [[nodiscard]] inline std::size_t
+lerp_rows_f64_u8_avx2(const double* top, const double* bottom, std::size_t n,
+                      double gy, double fy, std::uint8_t* dst) noexcept {
+  const __m256d g = _mm256_set1_pd(gy);
+  const __m256d f = _mm256_set1_pd(fy);
+  std::size_t x = 0;
+  for (; x + 16 <= n; x += 16) {
+    __m128i c[4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      const std::size_t at = x + 4 * j;
+      c[j] = clamp_trunc_u8_avx2(
+          _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(top + at), g),
+                        _mm256_mul_pd(_mm256_loadu_pd(bottom + at), f)));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + x),
+                     _mm_packus_epi16(_mm_packs_epi32(c[0], c[1]),
+                                      _mm_packs_epi32(c[2], c[3])));
+  }
+  return x;
+}
+#endif
 }  // namespace detail
 
 /// dst[i] = double(src[i]).
 inline void widen_u8_f64(const std::uint8_t* src, std::size_t n,
                          double* dst) noexcept {
   std::size_t i = 0;
+#if defined(TERO_SIMD_AVX2)
+  if (avx2_enabled()) i = detail::widen_u8_f64_avx2(src, n, dst);
+#endif
 #if defined(TERO_SIMD_SSE2)
   if (enabled()) {
     const __m128i zero = _mm_setzero_si128();
@@ -529,6 +666,11 @@ inline void conv_valid_f64(const double* src, std::size_t n,
                            const double* kernel, std::size_t taps,
                            double* dst) noexcept {
   std::size_t x = 0;
+#if defined(TERO_SIMD_AVX2)
+  if (avx2_enabled()) {
+    x = detail::conv_valid_f64_avx2(src, n, kernel, taps, dst);
+  }
+#endif
 #if defined(TERO_SIMD_SSE2)
   if (enabled()) {
     for (; x + 8 <= n; x += 8) {
@@ -566,6 +708,11 @@ inline void conv_rows_f64_u8(const double* const* rows, std::size_t n,
                              const double* kernel, std::size_t taps,
                              std::uint8_t* dst) noexcept {
   std::size_t x = 0;
+#if defined(TERO_SIMD_AVX2)
+  if (avx2_enabled()) {
+    x = detail::conv_rows_f64_u8_avx2(rows, n, kernel, taps, dst);
+  }
+#endif
 #if defined(TERO_SIMD_SSE2)
   if (enabled()) {
     for (; x + 8 <= n; x += 8) {
@@ -601,6 +748,11 @@ inline void lerp_rows_f64_u8(const double* top, const double* bottom,
                              std::uint8_t* dst) noexcept {
   const double gy = 1 - fy;
   std::size_t x = 0;
+#if defined(TERO_SIMD_AVX2)
+  if (avx2_enabled()) {
+    x = detail::lerp_rows_f64_u8_avx2(top, bottom, n, gy, fy, dst);
+  }
+#endif
 #if defined(TERO_SIMD_SSE2)
   if (enabled()) {
     const __m128d g = _mm_set1_pd(gy);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "image/font.hpp"
 #include "image/image.hpp"
 #include "image/ops.hpp"
+#include "ocr/engine.hpp"
 #include "ocr/game_ui.hpp"
 #include "ocr/preprocess.hpp"
 #include "synth/thumbnail.hpp"
@@ -332,15 +334,16 @@ TEST(Ops, GaussianBlurSmoothsEdges) {
 }
 
 // Every output bit of the f64-row blur against the per-pixel formula:
-// edge-only rows and columns (widths and heights below 2r + 1), the
-// 8-output vector tails, and the 4x-upscaled crop sizes the extractor
+// edge-only rows and columns (widths and heights below 2r + 1), every mix
+// of the 16-output AVX2 body, the 8-output SSE2 loop and the scalar tail
+// (16, 24, 31, 32, 33, 40), and the 4x-upscaled crop sizes the extractor
 // blurs, with the vector kernels on and off, through both overloads.
 TEST(Ops, GaussianBlurMatchesPerPixelReference) {
   const RestoreSimd restore;
   util::Rng rng(1717);
   Arena arena;
-  const int widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 17, 97,
-                        384, 389, 402, 491, 600};
+  const int widths[] = {1,  2,  3,  4,  5,  6,   7,   8,   9,   13,  16, 17,
+                        24, 31, 32, 33, 40, 97, 384, 389, 402, 491, 600};
   const int heights[] = {1, 2, 3, 7, 8, 88};
   for (const double sigma : {0.3, 0.5, 1.0, 1.2, 2.0, 3.0}) {
     for (const int w : widths) {
@@ -542,6 +545,106 @@ TEST(ConnectedComponents, MatchFloodFillReference) {
     expect_matches_flood_fill(ocr::preprocess_minimal(crop),
                               "preprocess_minimal");
   }
+}
+
+/// normalize_glyph as it counted each grid cell: the cell's pixel block
+/// in the clipped box, counted one pixel row at a time.
+std::vector<float> reference_glyph(const GrayImage& img, const Rect& bounds,
+                                   int size) {
+  std::vector<float> out(static_cast<std::size_t>(size) * size, 0.0f);
+  const Rect clipped = bounds.intersect(Rect{0, 0, img.width(), img.height()});
+  if (clipped.empty()) return out;
+  for (int gy = 0; gy < size; ++gy) {
+    for (int gx = 0; gx < size; ++gx) {
+      const int x0 = clipped.x + gx * clipped.w / size;
+      const int x1 = std::max(x0 + 1, clipped.x + (gx + 1) * clipped.w / size);
+      const int y0 = clipped.y + gy * clipped.h / size;
+      const int y1 = std::max(y0 + 1, clipped.y + (gy + 1) * clipped.h / size);
+      const int x_end = std::min(x1, clipped.x + clipped.w);
+      const int y_end = std::min(y1, clipped.y + clipped.h);
+      std::size_t ink = 0;
+      std::size_t total = 0;
+      for (int y = y0; y < y_end; ++y) {
+        for (int x = x0; x < x_end; ++x) ink += img.at(x, y) == 255;
+        total += static_cast<std::size_t>(x_end - x0);
+      }
+      out[static_cast<std::size_t>(gy) * size + gx] =
+          total > 0 ? static_cast<float>(ink) / static_cast<float>(total)
+                    : 0.0f;
+    }
+  }
+  return out;
+}
+
+/// Success when normalize_glyph writes every float bit of the reference.
+::testing::AssertionResult glyph_matches_reference(const GrayImage& img,
+                                                   const Rect& bounds,
+                                                   int size) {
+  const std::vector<float> want = reference_glyph(img, bounds, size);
+  std::vector<float> got(want.size(), -1.0f);
+  normalize_glyph(img, bounds, size, got);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "box " << bounds.x << "," << bounds.y << " " << bounds.w
+             << "x" << bounds.h << " grid " << size << " cell " << i
+             << " is " << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every grid float against the per-row cell count: boxes wider and
+// narrower, taller and shorter than the grid (narrow ones share columns
+// between cells), a 1x1 box, boxes cut by each image edge or lying outside
+// it, and the glyph boxes of real crops after both preprocessing chains.
+TEST(Ops, NormalizeGlyphMatchesPerCellCount) {
+  util::Rng rng(1719);
+  GrayImage img(64, 48, 0);
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      const std::uint8_t values[] = {0, 255, 255, 128, 254};
+      img.set(x, y, values[rng.uniform_int(0, 4)]);
+    }
+  }
+  const Rect boxes[] = {
+      {10, 5, 24, 40}, {3, 7, 15, 9},   {20, 10, 1, 1},   {0, 0, 64, 48},
+      {30, 2, 5, 33},  {8, 20, 40, 3},  {-6, 4, 20, 20},  {5, -9, 20, 20},
+      {55, 10, 20, 7}, {12, 41, 9, 30}, {-3, -3, 80, 60}, {70, 0, 5, 5},
+      {0, 47, 64, 1},  {63, 0, 1, 48},  {17, 17, 16, 16}, {2, 2, 17, 31},
+      {3, 2, 33, 25},  {54, 38, 20, 20}};
+  for (const Rect& box : boxes) {
+    for (const int size : {16, 1, 4, 7}) {
+      EXPECT_TRUE(glyph_matches_reference(img, box, size));
+    }
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const Rect box{static_cast<int>(rng.uniform_int(-8, 60)),
+                   static_cast<int>(rng.uniform_int(-8, 44)),
+                   static_cast<int>(rng.uniform_int(1, 40)),
+                   static_cast<int>(rng.uniform_int(1, 40))};
+    ASSERT_TRUE(glyph_matches_reference(img, box, ocr::kGlyphGrid));
+  }
+
+  const synth::ThumbnailRenderer renderer;
+  const auto specs = ocr::all_ui_specs();
+  std::size_t glyphs = 0;
+  for (std::size_t i = 0; i < 30; ++i) {
+    const ocr::GameUiSpec& spec = specs[i % specs.size()];
+    const auto rendered = renderer.render_with(
+        spec, static_cast<int>(rng.uniform_int(5, 400)),
+        static_cast<synth::Corruption>(i % 6), rng);
+    const GrayImage crop = rendered.image.crop(spec.latency_region);
+    for (const GrayImage& binary :
+         {ocr::preprocess(crop), ocr::preprocess_minimal(crop)}) {
+      for (const ocr::Glyph& glyph : ocr::segment_glyphs(binary)) {
+        ASSERT_TRUE(
+            glyph_matches_reference(binary, glyph.box, ocr::kGlyphGrid));
+        ++glyphs;
+      }
+    }
+  }
+  EXPECT_GT(glyphs, 100u);
 }
 
 TEST(Ops, NormalizeGlyphDensities) {

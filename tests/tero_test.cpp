@@ -8,6 +8,7 @@
 #include "tero/export.hpp"
 #include "tero/pipeline.hpp"
 #include "tero/realtime.hpp"
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -175,6 +176,31 @@ TEST_F(PipelineTest, EndToEndProducesAggregates) {
   EXPECT_LE(illinois->box->p25, illinois->box->p50);
   EXPECT_LE(illinois->box->p50, illinois->box->p75);
   EXPECT_LE(illinois->box->p75, illinois->box->p95);
+}
+
+// The location stage on a pool gives the same LocatedWorld as the serial
+// loop: every source, a relocation and unlocated streamers included.
+TEST(LocateStreamers, SameResultOnOneAndFourThreads) {
+  synth::WorldConfig config;
+  config.num_streamers = 400;
+  config.seed = 31;
+  config.p_move = 0.1;
+  const synth::World world(config);
+  const LocatedWorld serial = locate_streamers(world);
+  util::ThreadPool pool(4);
+  const LocatedWorld pooled = locate_streamers(world, &pool);
+  EXPECT_EQ(pooled.located, serial.located);
+  EXPECT_EQ(pooled.sources, serial.sources);
+  EXPECT_EQ(pooled.located_after, serial.located_after);
+  EXPECT_EQ(pooled.streamers_located, serial.streamers_located);
+
+  std::set<social::LocationSource> sources(serial.sources.begin(),
+                                           serial.sources.end());
+  EXPECT_EQ(sources.size(), 4u) << "every source, kNone included";
+  EXPECT_GT(std::count_if(serial.located_after.begin(),
+                          serial.located_after.end(),
+                          [](const auto& l) { return l.has_value(); }),
+            0);
 }
 
 TEST_F(PipelineTest, LocationErrorsAreRare) {
