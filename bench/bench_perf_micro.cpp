@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -24,9 +25,12 @@
 #include "analysis/clusters.hpp"
 #include "anomaly/pelt.hpp"
 #include "image/ops.hpp"
+#include "serve/loadgen.hpp"
+#include "serve/service.hpp"
 #include "ocr/engine.hpp"
 #include "ocr/extractor.hpp"
 #include "ocr/preprocess.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/distributions.hpp"
 #include "stats/probit.hpp"
 #include "stats/wasserstein.hpp"
@@ -618,6 +622,106 @@ void BM_TsdbRange(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TsdbRange);
+
+// Serving read path (DESIGN.md §9): QueryService::query from one client
+// over a fixed ring of 4096 generated queries, against a snapshot of 576
+// entries (8 games x 72 locations, 40 samples each). /point runs the
+// generator's point and top-k mix; /range turns every query into a 1-7 day
+// range kind over a 30-day hourly store shaped like BM_TsdbRange's. The
+// service and store are built once and shared by every run.
+struct ServeBench {
+  ServeBench();
+
+  tsdb::TimeSeriesStore store{tsdb::TsdbConfig{}};
+  std::unique_ptr<serve::QueryService> service;
+  std::vector<serve::Query> point;
+  std::vector<serve::Query> range;
+};
+
+ServeBench::ServeBench() {
+  static const char* const kGames[] = {"lol", "valorant", "fortnite",
+                                       "dota2", "cs2", "apex", "overwatch",
+                                       "pubg"};
+  constexpr int kDays = 30;
+  // Appending, not `"C" + std::to_string(n)`, which sets off GCC 12's
+  // -Wrestrict false positive in char_traits.h.
+  const auto named = [](const char* prefix, int n) {
+    std::string name = prefix;
+    name += std::to_string(n);
+    return name;
+  };
+  util::Rng rng(37);
+  std::vector<serve::SnapshotEntry> entries;
+  for (const char* game : kGames) {
+    for (int l = 0; l < 72; ++l) {
+      serve::SnapshotEntry entry;
+      entry.game = game;
+      entry.location.country = named("C", l / 6);
+      entry.location.region = l % 3 == 0 ? "" : named("R", l % 6);
+      entry.location.city = l % 2 == 0 ? "" : named("City", l);
+      for (int v = 0; v < 40; ++v) {
+        entry.sorted_values.push_back(
+            static_cast<double>(rng.uniform_int(20, 150)));
+      }
+      std::sort(entry.sorted_values.begin(), entry.sorted_values.end());
+      entry.samples = entry.sorted_values.size();
+      entry.mean_ms = stats::mean(entry.sorted_values);
+      entry.box = stats::boxplot(entry.sorted_values);
+      entry.key = serve::entry_key(entry.location, entry.game);
+      entries.push_back(std::move(entry));
+    }
+  }
+  serve::ServeConfig config;
+  config.tsdb = &store;
+  service = std::make_unique<serve::QueryService>(config);
+  for (int day = 0; day < kDays; ++day) {
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      util::Rng history = util::Rng::indexed(29, e * 64 + day);
+      for (const tsdb::Sample& sample : hourly_history(history, 24)) {
+        store.append(entries[e].key, day * kBenchDayMs + sample.t_ms,
+                     sample.value);
+      }
+    }
+    store.advance_to((day + 1) * kBenchDayMs);
+  }
+  service->publish(std::move(entries));
+  serve::LoadGenConfig load;
+  load.queries = 4096;
+  load.seed = 41;
+  point = serve::generate_queries(*service->snapshot(), load);
+  range = point;
+  util::Rng range_rng(43);
+  for (serve::Query& query : range) {
+    static constexpr serve::QueryKind kKinds[] = {
+        serve::QueryKind::kRangeCount, serve::QueryKind::kRangeMean,
+        serve::QueryKind::kRangePercentile};
+    static constexpr double kPercentiles[] = {50, 90, 99};
+    query.kind = kKinds[range_rng.uniform_int(0, 2)];
+    query.param = kPercentiles[range_rng.uniform_int(0, 2)];
+    const auto span_days = range_rng.uniform_int(1, 7);
+    query.t1_ms = range_rng.uniform_int(span_days, kDays) * kBenchDayMs;
+    query.t0_ms = query.t1_ms - span_days * kBenchDayMs;
+    query.window_ms = kBenchDayMs;
+  }
+}
+
+ServeBench& serve_bench() {
+  static ServeBench bench;
+  return bench;
+}
+
+void BM_ServeQuery(benchmark::State& state, bool range) {
+  ServeBench& bench = serve_bench();
+  const std::vector<serve::Query>& queries = range ? bench.range : bench.point;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bench.service->query(queries[next]));
+    next = (next + 1) % queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ServeQuery, point, false);
+BENCHMARK_CAPTURE(BM_ServeQuery, range, true);
 
 void BM_ProbitFit(benchmark::State& state) {
   util::Rng rng(5);

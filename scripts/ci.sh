@@ -129,6 +129,42 @@ run_bench_smoke() {
     fi
     echo "bench-smoke: artifacts$sizes"
     ./bench_json_check "${artifacts[@]}"
+    # Answers are pure functions of (query, snapshot): every closed-loop
+    # row of bench_serve carries one checksum whatever its shard and thread
+    # counts, and bench_cluster's serial and parallel runs match.
+    awk '/"shards": .*"checksum": "/ {
+           split($0, a, "\"checksum\": \"")
+           split(a[2], b, "\"")
+           if (rows == 0) {
+             first = b[1]
+           } else if (b[1] != first) {
+             print "bench-smoke: closed-loop checksum " b[1] " != " first
+             bad = 1
+           }
+           rows++
+         }
+         END {
+           if (rows == 0) {
+             print "bench-smoke: closed_loop rows missing from BENCH_serve.json"
+             bad = 1
+           }
+           exit bad
+         }' BENCH_serve.json
+    awk '/"determinism"/ {
+           if (index($0, "\"checksum_match\": true") == 0) {
+             print "bench-smoke: cluster serial and parallel checksums differ"
+             bad = 1
+           }
+           det = 1
+         }
+         END {
+           if (!det) {
+             print "bench-smoke: BENCH_cluster.json has no determinism row"
+             bad = 1
+           }
+           exit bad
+         }' BENCH_cluster.json
+    echo "bench-smoke: serve closed-loop and cluster checksums match"
   )
 }
 
@@ -375,7 +411,7 @@ run_perf_smoke() {
   (
     cd build/bench
     ./bench_perf_micro \
-      --benchmark_filter='BM_OcrExtract|BM_Img|BM_Glyph|BM_OcrMatch|BM_OcrSegment|BM_ThumbnailRender|BM_ChunkEncode|BM_ChunkDecode|BM_TsdbRange|BM_ParallelForOverhead/4' \
+      --benchmark_filter='BM_OcrExtract|BM_Img|BM_Glyph|BM_OcrMatch|BM_OcrSegment|BM_ThumbnailRender|BM_ChunkEncode|BM_ChunkDecode|BM_TsdbRange|BM_ServeQuery|BM_ParallelForOverhead/4' \
       --benchmark_min_time=0.05 --benchmark_repetitions=5
     # Throughput floors: bench/perf_baseline.txt records the events/s each
     # stage sustained at the commit that last touched the fast path (scaled

@@ -7,7 +7,10 @@ namespace tero::serve {
 AdmissionController::AdmissionController(double rate_qps, double burst)
     : rate_qps_(rate_qps),
       burst_(std::max(burst, rate_qps > 0.0 ? 1.0 : 0.0)),
-      tokens_(burst_) {}
+      tokens_(burst_) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  enabled_.store(rate_qps_ > 0.0, std::memory_order_release);
+}
 
 void AdmissionController::refill_locked(double now_s) {
   if (now_s > last_refill_) {
@@ -46,6 +49,7 @@ void AdmissionController::set_rate(double now_s, double rate_qps,
     last_refill_ = now_s;
   }
   rate_qps_ = rate_qps;
+  enabled_.store(rate_qps_ > 0.0, std::memory_order_release);
   burst_ = std::max(burst > 0.0 ? burst : burst_,
                     rate_qps > 0.0 ? 1.0 : 0.0);
   if (!was_enabled && rate_qps_ > 0.0) {

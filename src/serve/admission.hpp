@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 
@@ -35,9 +36,10 @@ class AdmissionController {
   /// (rate <= 0) stops all accounting, as at construction.
   void set_rate(double now_s, double rate_qps, double burst = 0.0);
 
-  [[nodiscard]] bool enabled() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return rate_qps_ > 0.0;
+  /// rate_qps > 0, read without the lock: a caller that sees false may
+  /// admit without calling try_admit, which would admit uncounted anyway.
+  [[nodiscard]] bool enabled() const noexcept {
+    return enabled_.load(std::memory_order_acquire);
   }
   [[nodiscard]] double rate_qps() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -63,6 +65,8 @@ class AdmissionController {
   double last_refill_ = 0.0;
   std::uint64_t admitted_ = 0;
   std::uint64_t shed_ = 0;
+  /// rate_qps_ > 0; written under mutex_, read without it.
+  std::atomic<bool> enabled_{false};
 };
 
 }  // namespace tero::serve

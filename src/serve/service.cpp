@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -162,11 +161,20 @@ std::string shard_key(const Query& query) {
   return entry_key(query.location, query.game);
 }
 
+std::uint64_t placement_hash(const Query& query) noexcept {
+  if (query.kind != QueryKind::kTopK) {
+    return entry_key_hash(query.location, query.game);
+  }
+  constexpr std::string_view kTopKPrefix = "topk|";
+  return util::fnv1a64(
+      query.game,
+      util::fnv1a64(kTopKPrefix, store::ConsistentHashRing::key_hash_basis()));
+}
+
 std::size_t QueryService::shard_for(const Query& query) const {
-  const std::string node = ring_.node_for(shard_key(query));
-  // Node names are "shard-<i>"; the ring never returns anything else here.
-  return static_cast<std::size_t>(
-      std::strtoul(node.c_str() + 6, nullptr, 10));
+  // The constructor adds "shard-<i>" in order, so a node's index in the
+  // ring is its shard index.
+  return ring_.owner_index(placement_hash(query));
 }
 
 double QueryService::wall_now_s() const {
@@ -176,6 +184,11 @@ double QueryService::wall_now_s() const {
 }
 
 QueryResponse answer(const Query& query, const Snapshot& snapshot) {
+  return answer(query, snapshot, placement_hash(query));
+}
+
+QueryResponse answer(const Query& query, const Snapshot& snapshot,
+                     std::uint64_t placement) {
   QueryResponse response;
   response.epoch = snapshot.epoch();
   if (is_range_kind(query.kind)) {
@@ -199,7 +212,8 @@ QueryResponse answer(const Query& query, const Snapshot& snapshot) {
     return response;
   }
 
-  const SnapshotEntry* entry = snapshot.find(query.location, query.game);
+  const SnapshotEntry* entry =
+      snapshot.find(query.location, query.game, placement);
   if (entry == nullptr || entry->samples == 0) {
     response.status = QueryStatus::kNotFound;
     return response;
@@ -268,12 +282,15 @@ QueryResponse QueryService::answer_range(const Query& query) const {
 }
 
 QueryResponse QueryService::compute(const Query& query,
-                                    const Snapshot* snapshot) const {
+                                    const Snapshot* snapshot,
+                                    std::uint64_t placement) const {
   if (is_range_kind(query.kind)) return answer_range(query);
-  return answer(query, *snapshot);
+  return answer(query, *snapshot, placement);
 }
 
 bool QueryService::try_admit(double now_s) {
+  // Off is the common case: no clock read, no lock.
+  if (!admission_.enabled()) return true;
   const bool admitted =
       admission_.try_admit(now_s >= 0.0 ? now_s : wall_now_s());
   if (!admitted) denied_.add(DenyReason::kShed);
@@ -323,6 +340,7 @@ QueryResponse QueryService::query(const Query& query, double now_s) {
 }
 
 QueryResponse QueryService::degraded(const Query& query,
+                                     std::uint64_t placement,
                                      std::uint64_t current_epoch) {
   SnapshotPtr last_good;
   if (!is_range_kind(query.kind)) {
@@ -339,7 +357,7 @@ QueryResponse QueryService::degraded(const Query& query,
     return response;
   }
   if (degraded_counter_ != nullptr) degraded_counter_->add();
-  QueryResponse response = compute(query, last_good.get());
+  QueryResponse response = compute(query, last_good.get(), placement);
   response.stale = true;
   response.stale_age = current_epoch - last_good->epoch();
   return response;
@@ -358,32 +376,34 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
   // evaluated before any shard state so the outcome is the same on every
   // replica. Refused kinds answer kBrownout — a denial, but a cheap
   // and explicit one, taken *before* the admission controller would shed.
+  // At full service the caller's query is read as it is, uncopied.
   const BrownoutLevel level = brownout();
-  BrownoutAction action;
-  if (level != BrownoutLevel::kFull) {
-    action = apply_brownout(query, level);
-    if (action.refuse) {
-      denied_.add(DenyReason::kBrownout);
-      QueryResponse response;
-      response.status = QueryStatus::kBrownout;
-      response.epoch = publisher_.epoch();
-      return response;
-    }
-  } else {
-    action.query = query;
+  if (level == BrownoutLevel::kFull) return serve_admitted(query, false, now_s);
+  const BrownoutAction action = apply_brownout(query, level);
+  if (action.refuse) {
+    denied_.add(DenyReason::kBrownout);
+    QueryResponse response;
+    response.status = QueryStatus::kBrownout;
+    response.epoch = publisher_.epoch();
+    return response;
   }
-  const Query& effective = action.query;
+  return serve_admitted(action.query, action.prefer_stale, now_s);
+}
 
+QueryResponse QueryService::serve_admitted(const Query& query,
+                                           bool prefer_stale, double now_s) {
   const SnapshotPtr snapshot = publisher_.current();
-  if (snapshot == nullptr && !is_range_kind(effective.kind)) {
+  if (snapshot == nullptr && !is_range_kind(query.kind)) {
     QueryResponse response;
     response.status = QueryStatus::kNoSnapshot;
     return response;
   }
   const std::uint64_t epoch =
       snapshot != nullptr ? snapshot->epoch() : publisher_.epoch();
+  // One hash of the key serves the shard choice and the snapshot lookup.
+  const std::uint64_t placement = placement_hash(query);
 
-  if (action.prefer_stale) {
+  if (prefer_stale) {
     // Stale-tolerant rungs serve the previous epoch when one exists (an old
     // answer beats burning fresh-epoch compute); with no previous epoch the
     // fresh path below still answers.
@@ -392,23 +412,23 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
       std::lock_guard<std::mutex> lock(previous_mutex_);
       has_previous = previous_ != nullptr;
     }
-    if (has_previous) return degraded(effective, epoch);
+    if (has_previous) return degraded(query, placement, epoch);
   }
 
-  Shard& shard = *shards_[shard_for(effective)];
+  Shard& shard = *shards_[ring_.owner_index(placement)];
 
   if (shard.fault_point != nullptr) {
     const double now = now_s >= 0.0 ? now_s : wall_now_s();
     if (!shard.breaker->allow(now)) {
       // Breaker open: skip the shard entirely (no fault-point hit — the
       // whole point of breaking is to stop poking a known-bad endpoint).
-      return degraded(effective, epoch);
+      return degraded(query, placement, epoch);
     }
     const fault::FaultDecision decision = shard.fault_point->hit();
     if (decision.kind == fault::FaultKind::kError ||
         decision.kind == fault::FaultKind::kCrash) {
       shard.breaker->on_failure(now);
-      return degraded(effective, epoch);
+      return degraded(query, placement, epoch);
     }
     shard.breaker->on_success();
   }
@@ -426,7 +446,7 @@ QueryResponse QueryService::query_admitted(const Query& query, double now_s) {
   // Snapshots are immutable, so the answer is a pure function of the
   // (query, epoch) pair this reader loaded — a publish that raced it
   // cannot change the bits.
-  QueryResponse response = compute(effective, snapshot.get());
+  QueryResponse response = compute(query, snapshot.get(), placement);
   if (response.status == QueryStatus::kNotFound &&
       not_found_counter_ != nullptr) {
     not_found_counter_->add();

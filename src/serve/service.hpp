@@ -146,11 +146,21 @@ struct QueryResponse {
 /// No metrics, no staleness markers: status/value/epoch/top only.
 [[nodiscard]] QueryResponse answer(const Query& query,
                                    const Snapshot& snapshot);
+/// The same, for a caller that already holds `placement ==
+/// placement_hash(query)`: a point kind finds its entry by that hash.
+[[nodiscard]] QueryResponse answer(const Query& query,
+                                   const Snapshot& snapshot,
+                                   std::uint64_t placement);
 
 /// Placement key of `query` on a consistent-hash ring: every query about one
 /// {location, game} entry maps to that entry's key, top-k to its game alone.
 /// QueryService picks shards and cluster::Cluster picks owner nodes with it.
 [[nodiscard]] std::string shard_key(const Query& query);
+
+/// store::ConsistentHashRing::key_hash(shard_key(query)), streamed from the
+/// query's fields without building the key. For a point or range kind it is
+/// entry_key_hash(query.location, query.game).
+[[nodiscard]] std::uint64_t placement_hash(const Query& query) noexcept;
 
 struct ServeConfig {
   /// Number of shards, each with its own fault point, circuit breaker and
@@ -280,10 +290,15 @@ class QueryService {
     std::unique_ptr<fault::CircuitBreaker> breaker;
   };
 
+  /// The read path after the brownout front door: `query` is the caller's
+  /// query or the rung's rewrite of it.
+  [[nodiscard]] QueryResponse serve_admitted(const Query& query,
+                                             bool prefer_stale, double now_s);
   /// `snapshot` may be null only for range kinds, which answer from the
-  /// time-series store instead.
+  /// time-series store instead. `placement` is placement_hash(query).
   [[nodiscard]] QueryResponse compute(const Query& query,
-                                      const Snapshot* snapshot) const;
+                                      const Snapshot* snapshot,
+                                      std::uint64_t placement) const;
   /// Range kinds: delegate to config_.tsdb (kUnavailable when absent or
   /// when the tsdb.read fault point fires).
   [[nodiscard]] QueryResponse answer_range(const Query& query) const;
@@ -291,6 +306,7 @@ class QueryService {
   /// marker, or kUnavailable when there is none. Range kinds have no stale
   /// snapshot to fall back on: always kUnavailable.
   [[nodiscard]] QueryResponse degraded(const Query& query,
+                                       std::uint64_t placement,
                                        std::uint64_t current_epoch);
   [[nodiscard]] double wall_now_s() const;
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "stats/descriptive.hpp"
+#include "store/consistent_hash.hpp"
 #include "tero/pipeline.hpp"
+#include "util/rng.hpp"
 
 namespace tero::serve {
 
@@ -34,6 +36,36 @@ std::string entry_key(const geo::Location& location, std::string_view game) {
   return key;
 }
 
+std::uint64_t entry_key_hash(const geo::Location& location,
+                             std::string_view game) noexcept {
+  constexpr std::string_view kSep = "|";
+  std::uint64_t hash = store::ConsistentHashRing::key_hash_basis();
+  hash = util::fnv1a64(game, hash);
+  hash = util::fnv1a64(kSep, hash);
+  hash = util::fnv1a64(location.country, hash);
+  hash = util::fnv1a64(kSep, hash);
+  hash = util::fnv1a64(location.region, hash);
+  hash = util::fnv1a64(kSep, hash);
+  return util::fnv1a64(location.city, hash);
+}
+
+namespace {
+
+/// key == entry_key(location, game), without building the right-hand side.
+bool is_entry_key(std::string_view key, const geo::Location& location,
+                  std::string_view game) noexcept {
+  const auto take = [&key](std::string_view part) {
+    if (!key.starts_with(part)) return false;
+    key.remove_prefix(part.size());
+    return true;
+  };
+  return take(game) && take("|") && take(location.country) && take("|") &&
+         take(location.region) && take("|") && take(location.city) &&
+         key.empty();
+}
+
+}  // namespace
+
 Snapshot::Snapshot(std::uint64_t epoch, std::vector<SnapshotEntry> entries)
     : epoch_(epoch), entries_(std::move(entries)) {
   for (auto& entry : entries_) {
@@ -44,6 +76,15 @@ Snapshot::Snapshot(std::uint64_t epoch, std::vector<SnapshotEntry> entries)
   std::sort(entries_.begin(), entries_.end(),
             [](const SnapshotEntry& a, const SnapshotEntry& b) {
               return a.key < b.key;
+            });
+  by_hash_.reserve(entries_.size());
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    by_hash_.push_back(
+        {store::ConsistentHashRing::key_hash(entries_[i].key), i});
+  }
+  std::sort(by_hash_.begin(), by_hash_.end(),
+            [](const HashSlot& a, const HashSlot& b) {
+              return a.hash != b.hash ? a.hash < b.hash : a.entry < b.entry;
             });
   // Keys are "game|...", so one game's entries form one contiguous block.
   for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -72,17 +113,22 @@ Snapshot::Snapshot(std::uint64_t epoch, std::vector<SnapshotEntry> entries)
 
 const SnapshotEntry* Snapshot::find(const geo::Location& location,
                                     std::string_view game) const {
-  return find_key(entry_key(location, game));
+  return find(location, game, entry_key_hash(location, game));
 }
 
-const SnapshotEntry* Snapshot::find_key(std::string_view key) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const SnapshotEntry& entry, std::string_view k) {
-        return entry.key < k;
-      });
-  if (it == entries_.end() || it->key != key) return nullptr;
-  return &*it;
+const SnapshotEntry* Snapshot::find(const geo::Location& location,
+                                    std::string_view game,
+                                    std::uint64_t key_hash) const {
+  // Equal hashes sit in entry order, so the first whose key matches is the
+  // first such entry in key order.
+  auto it = std::lower_bound(
+      by_hash_.begin(), by_hash_.end(), key_hash,
+      [](const HashSlot& slot, std::uint64_t h) { return slot.hash < h; });
+  for (; it != by_hash_.end() && it->hash == key_hash; ++it) {
+    const SnapshotEntry& entry = entries_[it->entry];
+    if (is_entry_key(entry.key, location, game)) return &entry;
+  }
+  return nullptr;
 }
 
 std::vector<const SnapshotEntry*> Snapshot::worst_locations(

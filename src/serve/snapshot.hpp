@@ -57,8 +57,14 @@ struct SnapshotEntry {
 [[nodiscard]] std::string entry_key(const geo::Location& location,
                                     std::string_view game);
 
-/// Immutable, binary-searchable index over SnapshotEntry, tagged with the
-/// publish epoch that produced it.
+/// store::ConsistentHashRing::key_hash(entry_key(location, game)), computed
+/// by streaming the key's parts into the hash: no key string is built. It
+/// is both the entry's ring position and its slot in the snapshot's index.
+[[nodiscard]] std::uint64_t entry_key_hash(const geo::Location& location,
+                                           std::string_view game) noexcept;
+
+/// Immutable index over SnapshotEntry, tagged with the publish epoch that
+/// produced it.
 class Snapshot {
  public:
   Snapshot(std::uint64_t epoch, std::vector<SnapshotEntry> entries);
@@ -69,10 +75,16 @@ class Snapshot {
   }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Entry for {location, game}; nullptr when absent.
+  /// Entry for {location, game}; nullptr when absent. Where several entries
+  /// share the key, the first in key order.
   [[nodiscard]] const SnapshotEntry* find(const geo::Location& location,
                                           std::string_view game) const;
-  [[nodiscard]] const SnapshotEntry* find_key(std::string_view key) const;
+  /// The same lookup for a caller that already holds
+  /// `key_hash == entry_key_hash(location, game)` (QueryService computed
+  /// it to pick the shard), so the key is hashed once per query.
+  [[nodiscard]] const SnapshotEntry* find(const geo::Location& location,
+                                          std::string_view game,
+                                          std::uint64_t key_hash) const;
 
   /// The k worst locations for `game`, ranked by descending `box.p95`
   /// (ties broken by key so the order is total and deterministic). Only
@@ -87,8 +99,15 @@ class Snapshot {
     std::vector<std::size_t> worst;
   };
 
+  /// An entry's key hash and its index in entries_.
+  struct HashSlot {
+    std::uint64_t hash;
+    std::size_t entry;
+  };
+
   std::uint64_t epoch_;
   std::vector<SnapshotEntry> entries_;  ///< sorted by key
+  std::vector<HashSlot> by_hash_;       ///< sorted by (hash, entry)
   std::vector<GameRanking> rankings_;   ///< sorted by game
 };
 

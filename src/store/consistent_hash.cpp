@@ -16,9 +16,7 @@ std::uint64_t hash_with_salt(std::string_view text, std::uint64_t salt) {
     salt_bytes[static_cast<std::size_t>(i)] =
         static_cast<char>((salt >> (8 * i)) & 0xff);
   }
-  std::string salted(salt_bytes.begin(), salt_bytes.end());
-  salted.append(text);
-  return util::fnv1a64(std::span<const char>{salted.data(), salted.size()});
+  return util::fnv1a64(text, util::fnv1a64(salt_bytes));
 }
 
 }  // namespace
@@ -36,30 +34,56 @@ ConsistentHashRing::ConsistentHashRing(int virtual_nodes)
 
 void ConsistentHashRing::add_node(const std::string& node) {
   if (std::find(nodes_.begin(), nodes_.end(), node) != nodes_.end()) return;
-  nodes_.push_back(node);
+  std::vector<VirtualNode> added;
   for (int v = 0; v < virtual_nodes_; ++v) {
-    const std::string vnode = node + "#" + std::to_string(v);
-    ring_[hash_with_salt(vnode, 0)] = node;
+    added.push_back({key_hash(node + "#" + std::to_string(v)), nodes_.size()});
   }
+  nodes_.push_back(node);
+  // The new virtual nodes go in front, so the stable sort puts them first
+  // among equal positions and unique keeps them: a position two nodes share
+  // belongs to the later one, as an assignment into a map would have it.
+  ring_.insert(ring_.begin(), added.begin(), added.end());
+  std::stable_sort(ring_.begin(), ring_.end(),
+                   [](const VirtualNode& a, const VirtualNode& b) {
+                     return a.position < b.position;
+                   });
+  ring_.erase(std::unique(ring_.begin(), ring_.end(),
+                          [](const VirtualNode& a, const VirtualNode& b) {
+                            return a.position == b.position;
+                          }),
+              ring_.end());
 }
 
 void ConsistentHashRing::remove_node(const std::string& node) {
-  nodes_.erase(std::remove(nodes_.begin(), nodes_.end(), node), nodes_.end());
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    if (it->second == node) {
-      it = ring_.erase(it);
-    } else {
-      ++it;
-    }
+  const auto it = std::find(nodes_.begin(), nodes_.end(), node);
+  if (it == nodes_.end()) return;
+  const auto index = static_cast<std::size_t>(it - nodes_.begin());
+  nodes_.erase(it);
+  std::erase_if(ring_, [index](const VirtualNode& vnode) {
+    return vnode.node == index;
+  });
+  for (VirtualNode& vnode : ring_) {
+    if (vnode.node > index) --vnode.node;
   }
+}
+
+std::vector<ConsistentHashRing::VirtualNode>::const_iterator
+ConsistentHashRing::successor(std::uint64_t position) const {
+  const auto it = std::lower_bound(
+      ring_.begin(), ring_.end(), position,
+      [](const VirtualNode& vnode, std::uint64_t p) {
+        return vnode.position < p;
+      });
+  return it == ring_.end() ? ring_.begin() : it;
+}
+
+std::size_t ConsistentHashRing::owner_index(std::uint64_t position) const {
+  return successor(position)->node;
 }
 
 std::string ConsistentHashRing::node_for(std::string_view key) const {
   if (ring_.empty()) return {};
-  const std::uint64_t h = hash_with_salt(key, 0);
-  auto it = ring_.lower_bound(h);
-  if (it == ring_.end()) it = ring_.begin();
-  return it->second;
+  return nodes_[owner_index(key_hash(key))];
 }
 
 std::vector<std::string> ConsistentHashRing::nodes_for(std::string_view key,
@@ -68,20 +92,18 @@ std::vector<std::string> ConsistentHashRing::nodes_for(std::string_view key,
   if (ring_.empty() || n == 0) return owners;
   n = std::min(n, nodes_.size());
   owners.reserve(n);
-  auto it = ring_.lower_bound(hash_with_salt(key, 0));
-  if (it == ring_.end()) it = ring_.begin();
-  while (owners.size() < n) {
-    if (std::find(owners.begin(), owners.end(), it->second) == owners.end()) {
-      owners.push_back(it->second);
+  for (auto it = successor(key_hash(key)); owners.size() < n;) {
+    const std::string& owner = nodes_[it->node];
+    if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
+      owners.push_back(owner);
     }
-    ++it;
-    if (it == ring_.end()) it = ring_.begin();
+    if (++it == ring_.end()) it = ring_.begin();
   }
   return owners;
 }
 
 std::uint64_t ConsistentHashRing::key_hash(std::string_view key) {
-  return hash_with_salt(key, 0);
+  return util::fnv1a64(key, key_hash_basis());
 }
 
 double RemapDiff::moved_fraction() const noexcept {
@@ -115,20 +137,25 @@ RemapDiff ConsistentHashRing::remap_diff(const ConsistentHashRing& before,
                            std::uint64_t h) -> const std::string& {
     static const std::string kNone;
     if (ring.ring_.empty()) return kNone;
-    auto it = ring.ring_.lower_bound(h);
-    if (it == ring.ring_.end()) it = ring.ring_.begin();
-    return it->second;
+    return ring.nodes_[ring.owner_index(h)];
   };
 
   // Ownership is constant on every arc (prev, cur] between consecutive
   // boundaries of the *union* of both rings' virtual nodes: neither ring
   // has a vnode strictly inside such an arc, so each ring's owner for the
-  // whole arc is its owner at `cur`.
+  // whole arc is its owner at `cur`. Both rings are sorted by position.
   std::vector<std::uint64_t> bounds;
   bounds.reserve(before.ring_.size() + after.ring_.size());
-  for (const auto& [h, node] : before.ring_) bounds.push_back(h);
-  for (const auto& [h, node] : after.ring_) bounds.push_back(h);
-  std::sort(bounds.begin(), bounds.end());
+  for (const VirtualNode& vnode : before.ring_) {
+    bounds.push_back(vnode.position);
+  }
+  for (const VirtualNode& vnode : after.ring_) {
+    bounds.push_back(vnode.position);
+  }
+  std::inplace_merge(
+      bounds.begin(),
+      bounds.begin() + static_cast<std::ptrdiff_t>(before.ring_.size()),
+      bounds.end());
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
 
   for (std::size_t j = 0; j < bounds.size(); ++j) {

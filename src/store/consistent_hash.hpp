@@ -1,10 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace tero::store {
 
@@ -64,6 +65,11 @@ class ConsistentHashRing {
   /// The node owning `key`; empty string if the ring is empty.
   [[nodiscard]] std::string node_for(std::string_view key) const;
 
+  /// Index into nodes() of the node owning ring position `position` (a
+  /// key_hash value); the ring must not be empty. node_for(key) is
+  /// nodes()[owner_index(key_hash(key))].
+  [[nodiscard]] std::size_t owner_index(std::uint64_t position) const;
+
   /// The first `n` *distinct* nodes clockwise from `key`'s hash — the
   /// replica set for `key` (owners[0] == node_for(key) is the leader, the
   /// rest are followers in ring order). Capped at node_count().
@@ -83,6 +89,15 @@ class ConsistentHashRing {
   /// The position a key occupies on the ring (what node_for lower-bounds).
   [[nodiscard]] static std::uint64_t key_hash(std::string_view key);
 
+  /// The running hash key_hash continues with the key's bytes (FNV-1a over
+  /// eight zero salt bytes): key_hash(k) == util::fnv1a64(k, key_hash_basis()),
+  /// so a caller can stream a key's parts into its position without building
+  /// the key.
+  [[nodiscard]] static constexpr std::uint64_t key_hash_basis() noexcept {
+    constexpr char kZeroSalt[8] = {};
+    return util::fnv1a64(kZeroSalt);
+  }
+
   /// Every arc of the hash space whose owner differs between `before` and
   /// `after`. Walks the union of both rings' virtual-node boundaries, so
   /// the result is exact: adding or removing one of n nodes yields arcs
@@ -92,9 +107,22 @@ class ConsistentHashRing {
                                             const ConsistentHashRing& after);
 
  private:
+  /// One virtual node: its ring position and its owner's index in nodes_.
+  struct VirtualNode {
+    std::uint64_t position;
+    std::size_t node;
+  };
+
+  /// The first virtual node at or after `position`, wrapping past the end;
+  /// the ring must not be empty.
+  [[nodiscard]] std::vector<VirtualNode>::const_iterator successor(
+      std::uint64_t position) const;
+
   int virtual_nodes_;
   std::vector<std::string> nodes_;
-  std::map<std::uint64_t, std::string> ring_;
+  /// Sorted by position, one entry per position. Where two virtual nodes
+  /// hash to the same position the later add_node owns it.
+  std::vector<VirtualNode> ring_;
 };
 
 }  // namespace tero::store

@@ -191,13 +191,18 @@ std::string encode_chunk(std::span<const Sample> samples) {
 
 namespace {
 
-/// Shared validation: strip and verify the trailing checksum, returning the
-/// protected payload.
-std::string_view checked_payload(std::string_view bytes) {
+/// The bytes before the trailing checksum. The bit reader's word loads rely
+/// on those 8 bytes following the stream, so both cursors require them.
+std::string_view payload_of(std::string_view bytes) {
   if (bytes.size() < 8 + 1) {
     throw ChunkCorruptError("shorter than header + checksum");
   }
-  const std::string_view payload = bytes.substr(0, bytes.size() - 8);
+  return bytes.substr(0, bytes.size() - 8);
+}
+
+/// Strip and verify the trailing checksum, returning the protected payload.
+std::string_view checked_payload(std::string_view bytes) {
+  const std::string_view payload = payload_of(bytes);
   const std::uint64_t stored = get_u64le(
       reinterpret_cast<const unsigned char*>(bytes.data()) + payload.size());
   if (util::fnv1a64({payload.data(), payload.size()}) != stored) {
@@ -209,7 +214,14 @@ std::string_view checked_payload(std::string_view bytes) {
 }  // namespace
 
 ChunkCursor::ChunkCursor(std::string_view bytes) {
-  const std::string_view payload = checked_payload(bytes);
+  read_header(checked_payload(bytes));
+}
+
+ChunkCursor::ChunkCursor(std::string_view bytes, Verified) {
+  read_header(payload_of(bytes));
+}
+
+void ChunkCursor::read_header(std::string_view payload) {
   const auto* data = reinterpret_cast<const unsigned char*>(payload.data());
   std::size_t cursor = 0;
   count_ = get_varint(data, payload.size(), cursor);

@@ -50,7 +50,10 @@ inline constexpr std::size_t kRawSampleBytes = sizeof(std::int64_t) +
 /// stream and bounds the declared count against the available bits, so any
 /// single-byte corruption — payload, header, or checksum — raises
 /// ChunkCorruptError instead of silently returning wrong samples
-/// (tests/tsdb_test.cpp sweeps every byte).
+/// (tests/tsdb_test.cpp sweeps every byte). A chunk's checksum is verified
+/// once, when its bytes enter memory (encode_chunk made them, or
+/// load_segment decoded them end to end); reads of those in-memory chunks
+/// skip it (ChunkCursor's kVerified constructor).
 
 class ChunkCorruptError : public std::runtime_error {
  public:
@@ -69,9 +72,17 @@ class ChunkCorruptError : public std::runtime_error {
 /// alive for the duration of a query).
 class ChunkCursor {
  public:
-  explicit ChunkCursor(std::string_view bytes);
+  /// Tag for bytes whose checksum was already verified: a chunk held in a
+  /// Segment, which encode_chunk produced or load_segment checked.
+  struct Verified {};
+  static constexpr Verified kVerified{};
 
-  /// Total samples declared by the (checksum-verified) header.
+  explicit ChunkCursor(std::string_view bytes);
+  /// Skips the checksum pass but keeps every header bound; malformed bits
+  /// still throw ChunkCorruptError from next().
+  ChunkCursor(std::string_view bytes, Verified);
+
+  /// Total samples declared by the header.
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
 
   /// Advance to the next sample; false once `count()` samples were yielded.
@@ -83,6 +94,10 @@ class ChunkCursor {
   void expect_end();
 
  private:
+  /// Parse and bound the header of `payload` (the bytes before the
+  /// checksum).
+  void read_header(std::string_view payload);
+
   // Bit-stream state; encoding.cpp's word-at-a-time reader works on it.
   const unsigned char* data_ = nullptr;  ///< start of the post-header bits
   std::size_t stream_bytes_ = 0;  ///< bytes from data_ to the checksum

@@ -87,7 +87,7 @@ Segment merge_segments(std::span<const std::shared_ptr<const Segment>> inputs,
     for (const auto& input : inputs) {
       const SeriesChunk* chunk = input->find(key);
       if (chunk == nullptr) continue;
-      ChunkCursor cursor(chunk->bytes);
+      ChunkCursor cursor(chunk->bytes, ChunkCursor::kVerified);
       Sample sample;
       while (cursor.next(sample)) merged.push_back(sample);
       cursor.expect_end();

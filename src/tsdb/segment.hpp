@@ -16,7 +16,9 @@ namespace tero::tsdb {
 /// time-range metadata needed to prune queries without decoding.
 struct SeriesChunk {
   std::string key;
-  std::string bytes;  ///< encode_chunk output (checksummed)
+  /// encode_chunk output (checksummed). Its checksum holds by construction
+  /// or was checked by load_segment, so readers use ChunkCursor::kVerified.
+  std::string bytes;
   std::int64_t min_t = 0;
   std::int64_t max_t = 0;
   std::uint64_t count = 0;

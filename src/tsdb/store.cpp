@@ -523,7 +523,7 @@ std::vector<RangePoint> TimeSeriesStore::range(const RangeQuery& query) const {
         chunk->max_t < query.t0_ms) {
       continue;
     }
-    ChunkCursor cursor(chunk->bytes);
+    ChunkCursor cursor(chunk->bytes, ChunkCursor::kVerified);
     Sample sample;
     while (cursor.next(sample) && sample.t_ms < query.t1_ms) fold(sample);
   }
@@ -634,7 +634,7 @@ std::vector<Sample> TimeSeriesStore::series(std::string_view key) const {
   for (const auto& segment : segments) {
     const SeriesChunk* chunk = segment->find(key);
     if (chunk == nullptr) continue;
-    ChunkCursor cursor(chunk->bytes);
+    ChunkCursor cursor(chunk->bytes, ChunkCursor::kVerified);
     Sample sample;
     while (cursor.next(sample)) out.push_back(sample);
   }

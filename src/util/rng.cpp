@@ -165,15 +165,6 @@ std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
   return all;
 }
 
-std::uint64_t fnv1a64(std::span<const char> bytes) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) noexcept {
   std::uint64_t state = a;
   (void)splitmix64(state);  // decorrelate from the raw seed value

@@ -99,9 +99,21 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
+/// FNV-1a's 64-bit offset basis: the running value of an empty input.
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 /// 64-bit FNV-1a hash; used for consistent hashing of streamer IDs (§7 of the
-/// paper: streamer IDs are pseudonymized before storage).
-[[nodiscard]] std::uint64_t fnv1a64(std::span<const char> bytes) noexcept;
+/// paper: streamer IDs are pseudonymized before storage). `hash` is the
+/// running value to continue from, so a key can be hashed in parts without
+/// being built: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+[[nodiscard]] constexpr std::uint64_t fnv1a64(
+    std::span<const char> bytes, std::uint64_t hash = kFnv1a64Basis) noexcept {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 /// Mix two 64-bit values into one well-distributed seed (SplitMix64-based).
 /// Basis of the seed-splitting scheme behind Rng::indexed.

@@ -408,7 +408,9 @@ TEST_P(RandomStreamInvariants, AccountingAndPartitioning) {
   std::size_t covered = 0;
   std::size_t prev_end = 0;
   for (std::size_t s = 0; s < segments.size(); ++s) {
-    if (s > 0) EXPECT_EQ(segments[s].first, prev_end + 1);
+    if (s > 0) {
+      EXPECT_EQ(segments[s].first, prev_end + 1);
+    }
     EXPECT_LE(segments[s].first, segments[s].last);
     // All values inside the segment within LatGap of each other.
     EXPECT_LE(segments[s].max_latency - segments[s].min_latency,

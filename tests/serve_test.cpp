@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "serve/snapshot.hpp"
 #include "serve/snapshot_io.hpp"
 #include "stats/descriptive.hpp"
+#include "store/consistent_hash.hpp"
 #include "synth/sessions.hpp"
 #include "tero/pipeline.hpp"
 #include "tsdb/store.hpp"
@@ -69,6 +71,125 @@ TEST(Snapshot, FindAndPointStats) {
   us.country = "US";
   EXPECT_EQ(snapshot.find(us, "lol"), nullptr);
   EXPECT_EQ(snapshot.find(de, "dota"), nullptr);
+}
+
+/// Snapshot::find as a binary search over the key strings: the reference
+/// the hash index must match, entry for entry.
+const SnapshotEntry* find_by_key_search(const Snapshot& snapshot,
+                                        const geo::Location& location,
+                                        std::string_view game) {
+  const std::string key = entry_key(location, game);
+  const auto entries = snapshot.entries();
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const SnapshotEntry& entry, const std::string& k) {
+        return entry.key < k;
+      });
+  if (it == entries.end() || it->key != key) return nullptr;
+  return &*it;
+}
+
+/// Entries over a small field palette: games where one is a prefix of
+/// another ("lo", "lol", "lol2"), empty regions and cities, and repeats.
+std::vector<SnapshotEntry> random_entries(util::Rng& rng, std::size_t n) {
+  static const char* const kGames[] = {"lol", "lol2", "lo", "valorant",
+                                       "dota2"};
+  static const char* const kCountries[] = {"DE", "FR", "BR", "US", "D"};
+  static const char* const kRegions[] = {"", "Hesse", "Texas"};
+  static const char* const kCities[] = {"", "Berlin", "Austin"};
+  std::vector<SnapshotEntry> entries;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> values;
+    for (std::int64_t v = rng.uniform_int(0, 6); v > 0; --v) {
+      values.push_back(static_cast<double>(rng.uniform_int(10, 200)));
+    }
+    entries.push_back(make_entry(kCountries[rng.uniform_int(0, 4)],
+                                 kGames[rng.uniform_int(0, 4)],
+                                 std::move(values),
+                                 kRegions[rng.uniform_int(0, 2)],
+                                 kCities[rng.uniform_int(0, 2)]));
+  }
+  return entries;
+}
+
+/// find() with and without a precomputed hash agrees with the reference,
+/// and the streamed hash is the ring's hash of the built key.
+void expect_lookup_matches(const Snapshot& snapshot,
+                           const geo::Location& location,
+                           const std::string& game) {
+  const std::uint64_t hash = entry_key_hash(location, game);
+  ASSERT_EQ(hash, store::ConsistentHashRing::key_hash(
+                      entry_key(location, game)));
+  const SnapshotEntry* expected =
+      find_by_key_search(snapshot, location, game);
+  EXPECT_EQ(snapshot.find(location, game), expected)
+      << entry_key(location, game);
+  EXPECT_EQ(snapshot.find(location, game, hash), expected);
+}
+
+TEST(Snapshot, HashLookupMatchesKeyBinarySearch) {
+  for (std::uint64_t trial = 0; trial < 20; ++trial) {
+    util::Rng rng = util::Rng::indexed(0x6c6f6f6b, trial);
+    const Snapshot snapshot(
+        1, random_entries(rng, static_cast<std::size_t>(
+                                   rng.uniform_int(1, 60))));
+    for (const SnapshotEntry& entry : snapshot.entries()) {
+      ASSERT_NE(snapshot.find(entry.location, entry.game), nullptr);
+      expect_lookup_matches(snapshot, entry.location, entry.game);
+      // Near misses: each field changed, region and city emptied, and the
+      // prefix games.
+      geo::Location near = entry.location;
+      near.country += "E";
+      expect_lookup_matches(snapshot, near, entry.game);
+      near = entry.location;
+      near.region = near.region.empty() ? "Hesse" : "";
+      expect_lookup_matches(snapshot, near, entry.game);
+      near = entry.location;
+      near.city = near.city.empty() ? "Berlin" : "";
+      expect_lookup_matches(snapshot, near, entry.game);
+      near = entry.location;
+      near.region.clear();
+      near.city.clear();
+      expect_lookup_matches(snapshot, near, entry.game);
+      near = entry.location;
+      std::swap(near.region, near.city);
+      expect_lookup_matches(snapshot, near, entry.game);
+      expect_lookup_matches(snapshot, entry.location, entry.game + "2");
+      expect_lookup_matches(snapshot, entry.location,
+                            entry.game.substr(0, entry.game.size() - 1));
+      expect_lookup_matches(snapshot, entry.location, "");
+    }
+  }
+}
+
+TEST(Snapshot, HashLookupSeesTheKeyNotTheFields) {
+  // A '|' inside a field moves where the key's fields split: {game
+  // "lol|DE", country "Hesse"} and {game "lol", country "DE|Hesse"} build
+  // the same key, so a key-string search finds one from the other.
+  SnapshotEntry shifted = make_entry("Hesse", "lol|DE", {40, 50});
+  const Snapshot snapshot(1, {shifted, make_entry("FR", "lol", {60})});
+  geo::Location split;
+  split.country = "DE|Hesse";
+  ASSERT_NE(find_by_key_search(snapshot, split, "lol"), nullptr);
+  expect_lookup_matches(snapshot, split, "lol");
+  expect_lookup_matches(snapshot, shifted.location, "lol|DE");
+  split.country = "DE|Hess";
+  expect_lookup_matches(snapshot, split, "lol");
+}
+
+TEST(Snapshot, DuplicateKeyReturnsTheEntryTheKeySearchReturns) {
+  // Two entries with one key share one hash: the lookup scans the equal
+  // hashes in entry order and must stop where the key search stops.
+  const Snapshot snapshot(
+      1, {make_entry("DE", "lol", {10}), make_entry("FR", "lol", {20}),
+          make_entry("DE", "lol", {30, 31}), make_entry("DE", "lol2", {40})});
+  geo::Location de;
+  de.country = "DE";
+  const SnapshotEntry* found = snapshot.find(de, "lol");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found, find_by_key_search(snapshot, de, "lol"));
+  expect_lookup_matches(snapshot, de, "lol2");
+  expect_lookup_matches(snapshot, de, "lo");
 }
 
 TEST(Snapshot, TopKWorstRanksByP95) {
@@ -377,6 +498,110 @@ TEST(QueryServiceTest, ShardingIsStableAndCovering) {
   EXPECT_LT(service.shard_for(query), service.shard_count());
 }
 
+TEST(QueryServiceTest, ShardForMatchesTheRingNodeName) {
+  // Today's shard formula: the ring's node name for shard_key(q), parsed
+  // back from "shard-<i>".
+  util::Rng rng(0x73686172);
+  const Snapshot snapshot(1, random_entries(rng, 80));
+  LoadGenConfig load;
+  load.queries = 4096;
+  load.seed = 17;
+  load.p_topk = 0.1;
+  std::vector<Query> queries = generate_queries(snapshot, load);
+  for (std::size_t i = 0; i < queries.size(); i += 13) {
+    queries[i].kind = QueryKind::kRangeMean;
+  }
+  for (const std::size_t shards : {1, 4, 8}) {
+    ServeConfig config;
+    config.shards = shards;
+    const QueryService service(config);
+    store::ConsistentHashRing ring(config.ring_virtual_nodes);
+    for (std::size_t i = 0; i < shards; ++i) {
+      ring.add_node("shard-" + std::to_string(i));
+    }
+    std::size_t topk = 0;
+    for (const Query& query : queries) {
+      const std::string key = shard_key(query);
+      ASSERT_EQ(placement_hash(query),
+                store::ConsistentHashRing::key_hash(key))
+          << key;
+      ASSERT_EQ(service.shard_for(query),
+                std::strtoul(ring.node_for(key).c_str() + 6, nullptr, 10))
+          << key;
+      if (query.kind == QueryKind::kTopK) ++topk;
+    }
+    EXPECT_GT(topk, 100u);
+  }
+}
+
+TEST(QueryServiceTest, EnablingAdmissionShedsTheNextOverRateQuery) {
+  ServeConfig config;
+  config.shards = 2;
+  QueryService service(config);
+  service.publish({make_entry("DE", "lol", {1, 2, 3})});
+  Query query;
+  query.location.country = "DE";
+  query.game = "lol";
+  query.kind = QueryKind::kMean;
+  // Off: nothing sheds and nothing is counted.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(service.query(query, i * 0.001).status, QueryStatus::kOk);
+  }
+  EXPECT_EQ(service.shed_count(), 0u);
+  // On at 10 qps with a burst of 2: two queries pass, the third sheds.
+  service.set_admission_rate(0.1, 10.0, 2.0);
+  std::vector<QueryStatus> statuses;
+  for (int i = 0; i < 100; ++i) {
+    statuses.push_back(service.query(query, 0.1 + i * 0.001).status);
+  }
+  EXPECT_EQ(statuses[0], QueryStatus::kOk);
+  EXPECT_EQ(statuses[1], QueryStatus::kOk);
+  EXPECT_EQ(statuses[2], QueryStatus::kShed);
+  EXPECT_EQ(std::count(statuses.begin(), statuses.end(), QueryStatus::kShed),
+            98);
+  EXPECT_EQ(service.shed_count(), 98u);
+  // Off again: the next query passes and the count holds.
+  service.set_admission_rate(0.2, 0.0);
+  EXPECT_EQ(service.query(query, 0.2).status, QueryStatus::kOk);
+  EXPECT_EQ(service.shed_count(), 98u);
+}
+
+TEST(QueryServiceTest, AdmissionToggledUnderConcurrentQueriesCountsEveryShed) {
+  // Readers check the enabled flag without the admission lock while the
+  // rate flips on and off: every query is answered or shed, and each shed
+  // answer is one counted shed.
+  QueryService service(ServeConfig{});
+  service.publish(three_entries());
+  Query query;
+  query.location.country = "DE";
+  query.game = "lol";
+  query.kind = QueryKind::kCount;
+  std::atomic<std::uint64_t> shed{0};
+  std::atomic<std::uint64_t> other{0};
+  std::atomic<int> running{3};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 4000; ++i) {
+        const QueryStatus status = service.query(query, 1.0).status;
+        if (status == QueryStatus::kShed) {
+          shed.fetch_add(1);
+        } else if (status != QueryStatus::kOk) {
+          other.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // Each enable refills the bucket to its burst of 2, so sheds keep coming.
+  for (int flip = 0; running.load() > 0; ++flip) {
+    service.set_admission_rate(1.0, flip % 2 == 0 ? 5.0 : 0.0, 2.0);
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(other.load(), 0u);
+  EXPECT_EQ(service.shed_count(), shed.load());
+}
+
 TEST(QueryServiceTest, ShedsUnderOverloadAndRecovers) {
   obs::MetricsRegistry registry;
   ServeConfig config;
@@ -425,6 +650,22 @@ TEST(AdmissionControllerTest, DisabledAdmitsEverything) {
   EXPECT_FALSE(admission.enabled());
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(admission.try_admit(0.0));
   EXPECT_EQ(admission.shed(), 0u);
+}
+
+TEST(AdmissionControllerTest, FixedSequenceCountsArePinned) {
+  AdmissionController admission(100.0, 5.0);
+  for (int i = 0; i < 1000; ++i) (void)admission.try_admit(i * 0.004);
+  admission.set_rate(4.0, 0.0);
+  EXPECT_FALSE(admission.enabled());
+  for (int i = 0; i < 100; ++i) (void)admission.try_admit(4.0 + i * 0.001);
+  admission.set_rate(4.1, 50.0, 3.0);
+  EXPECT_TRUE(admission.enabled());
+  for (int i = 0; i < 500; ++i) (void)admission.try_admit(4.1 + i * 0.01);
+  admission.set_rate(9.1, 20.0);
+  for (int i = 0; i < 300; ++i) (void)admission.try_admit(9.1 + i * 0.02);
+  // Literals from a separate run of this sequence.
+  EXPECT_EQ(admission.admitted(), 776u);
+  EXPECT_EQ(admission.shed(), 1024u);
 }
 
 TEST(AdmissionControllerTest, RateStepUpAtRefillBoundaryMintsNothing) {

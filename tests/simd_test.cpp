@@ -481,7 +481,7 @@ TEST(ArenaTest, FrameRewindReusesMemory) {
   {
     image::Arena::Frame frame(arena);
     first = arena.allocate(100);
-    arena.allocate(200);
+    (void)arena.allocate(200);
   }
   const std::size_t used_after_frame = arena.used();
   std::uint8_t* again = nullptr;
@@ -500,7 +500,7 @@ TEST(ArenaTest, GrowsAcrossBlocksAndRewinds) {
   const std::size_t base_used = arena.used();
   {
     image::Arena::Frame frame(arena);
-    for (int i = 0; i < 50; ++i) arena.allocate(100);
+    for (int i = 0; i < 50; ++i) (void)arena.allocate(100);
     EXPECT_GT(arena.block_count(), 1u);
     EXPECT_GE(arena.used(), 50u * 100u);
   }
@@ -514,11 +514,11 @@ TEST(ArenaTest, GrowsAcrossBlocksAndRewinds) {
 TEST(ArenaTest, NestedFramesUnwindInOrder) {
   image::Arena arena(4096);
   image::Arena::Frame outer(arena);
-  arena.allocate(64);
+  (void)arena.allocate(64);
   const std::size_t outer_used = arena.used();
   {
     image::Arena::Frame inner(arena);
-    arena.allocate(512);
+    (void)arena.allocate(512);
     EXPECT_GT(arena.used(), outer_used);
   }
   EXPECT_EQ(arena.used(), outer_used);

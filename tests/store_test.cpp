@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "store/consistent_hash.hpp"
 #include "store/doc_store.hpp"
 #include "store/kv_store.hpp"
 #include "store/object_store.hpp"
 #include "store/persistence.hpp"
+#include "util/rng.hpp"
 
 namespace tero::store {
 namespace {
@@ -121,6 +125,14 @@ TEST(Pseudonymizer, StableAndSaltDependent) {
   EXPECT_NE(a.pseudonym("alice"), b.pseudonym("alice"));
   EXPECT_EQ(a.pseudonym("alice").size(), 17u);  // 'u' + 16 hex chars
   EXPECT_EQ(a.pseudonym("alice")[0], 'u');
+}
+
+TEST(Pseudonymizer, OutputsArePinned) {
+  // Literals from a separate run: a change to the salted hash's bits would
+  // orphan every pseudonym already stored.
+  EXPECT_EQ(Pseudonymizer(1).pseudonym("alice"), "u00d51847a51c6ff4");
+  EXPECT_EQ(Pseudonymizer(0x5eed).pseudonym("streamer_42"),
+            "u3fb4d8f7c068033c");
 }
 
 TEST(ConsistentHashRing, AssignsAllKeysAndBalances) {
@@ -254,6 +266,197 @@ TEST(ConsistentHashRing, NodesListedInInsertionOrder) {
   EXPECT_EQ(ring.nodes(), (std::vector<std::string>{"b", "a", "c"}));
   ring.remove_node("a");
   EXPECT_EQ(ring.nodes(), (std::vector<std::string>{"b", "c"}));
+}
+
+/// The ring on a position-keyed map, with a salted string built for every
+/// hash: the reference ConsistentHashRing's sorted vector must match. A map
+/// assignment gives a shared position to the later node.
+class MapRing {
+ public:
+  explicit MapRing(int virtual_nodes) : virtual_nodes_(virtual_nodes) {}
+
+  void add_node(const std::string& node) {
+    if (std::find(nodes_.begin(), nodes_.end(), node) != nodes_.end()) return;
+    nodes_.push_back(node);
+    for (int v = 0; v < virtual_nodes_; ++v) {
+      ring_[hash(node + "#" + std::to_string(v))] = node;
+    }
+  }
+
+  void remove_node(const std::string& node) {
+    nodes_.erase(std::remove(nodes_.begin(), nodes_.end(), node),
+                 nodes_.end());
+    std::erase_if(ring_, [&node](const auto& vnode) {
+      return vnode.second == node;
+    });
+  }
+
+  [[nodiscard]] std::string node_for(std::string_view key) const {
+    if (ring_.empty()) return {};
+    return owner_at(hash(key));
+  }
+
+  [[nodiscard]] std::vector<std::string> nodes_for(std::string_view key,
+                                                   std::size_t n) const {
+    std::vector<std::string> owners;
+    if (ring_.empty() || n == 0) return owners;
+    n = std::min(n, nodes_.size());
+    auto it = ring_.lower_bound(hash(key));
+    if (it == ring_.end()) it = ring_.begin();
+    while (owners.size() < n) {
+      if (std::find(owners.begin(), owners.end(), it->second) ==
+          owners.end()) {
+        owners.push_back(it->second);
+      }
+      if (++it == ring_.end()) it = ring_.begin();
+    }
+    return owners;
+  }
+
+  [[nodiscard]] const std::vector<std::string>& nodes() const {
+    return nodes_;
+  }
+
+  static std::vector<RemapRange> remap(const MapRing& before,
+                                       const MapRing& after) {
+    std::vector<RemapRange> ranges;
+    std::vector<std::uint64_t> bounds;
+    for (const auto& vnode : before.ring_) bounds.push_back(vnode.first);
+    for (const auto& vnode : after.ring_) bounds.push_back(vnode.first);
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    for (std::size_t j = 0; j < bounds.size(); ++j) {
+      const std::string from = before.ring_.empty()
+                                   ? std::string()
+                                   : before.owner_at(bounds[j]);
+      const std::string to =
+          after.ring_.empty() ? std::string() : after.owner_at(bounds[j]);
+      if (from == to) continue;
+      if (j > 0) {
+        ranges.push_back({bounds[j - 1] + 1, bounds[j], from, to});
+      } else if (bounds.size() == 1) {
+        ranges.push_back({0, kMax, from, to});
+      } else {
+        ranges.push_back({0, bounds[j], from, to});
+        if (bounds.back() < kMax) {
+          ranges.push_back({bounds.back() + 1, kMax, from, to});
+        }
+      }
+    }
+    std::sort(ranges.begin(), ranges.end(),
+              [](const RemapRange& a, const RemapRange& b) {
+                return a.begin < b.begin;
+              });
+    return ranges;
+  }
+
+ private:
+  static std::uint64_t hash(std::string_view text) {
+    std::string salted(8, '\0');
+    salted.append(text);
+    return util::fnv1a64({salted.data(), salted.size()});
+  }
+
+  [[nodiscard]] const std::string& owner_at(std::uint64_t h) const {
+    auto it = ring_.lower_bound(h);
+    if (it == ring_.end()) it = ring_.begin();
+    return it->second;
+  }
+
+  int virtual_nodes_;
+  std::vector<std::string> nodes_;
+  std::map<std::uint64_t, std::string> ring_;
+};
+
+TEST(ConsistentHashRing, MatchesMapRingAcrossRandomChurn) {
+  for (std::uint64_t trial = 0; trial < 12; ++trial) {
+    util::Rng rng = util::Rng::indexed(0x72696e67, trial);
+    static constexpr int kVirtualNodes[] = {1, 3, 16, 64};
+    const int virtual_nodes = kVirtualNodes[trial % 4];
+    MapRing reference(virtual_nodes);
+    ConsistentHashRing ring(virtual_nodes);
+    for (int step = 0; step < 16; ++step) {
+      const MapRing reference_before = reference;
+      const ConsistentHashRing before = ring;
+      const std::string node = "node-" + std::to_string(rng.uniform_int(0, 7));
+      // Adds outnumber removes so the ring grows; a repeated add and the
+      // removal of an absent node are no-ops in both.
+      if (rng.bernoulli(0.65)) {
+        reference.add_node(node);
+        ring.add_node(node);
+      } else {
+        reference.remove_node(node);
+        ring.remove_node(node);
+      }
+      ASSERT_EQ(ring.nodes(), reference.nodes());
+      for (int k = 0; k < 200; ++k) {
+        const std::string key =
+            "key" + std::to_string(rng.uniform_int(0, 1 << 30));
+        const std::string owner = reference.node_for(key);
+        ASSERT_EQ(ring.node_for(key), owner) << key;
+        if (!owner.empty()) {
+          EXPECT_EQ(ring.nodes()[ring.owner_index(
+                        ConsistentHashRing::key_hash(key))],
+                    owner);
+        }
+        const auto n = static_cast<std::size_t>(rng.uniform_int(1, 5));
+        EXPECT_EQ(ring.nodes_for(key, n), reference.nodes_for(key, n)) << key;
+      }
+      const auto expected = MapRing::remap(reference_before, reference);
+      const RemapDiff diff = ConsistentHashRing::remap_diff(before, ring);
+      ASSERT_EQ(diff.ranges.size(), expected.size()) << "step " << step;
+      for (std::size_t r = 0; r < expected.size(); ++r) {
+        EXPECT_EQ(diff.ranges[r].begin, expected[r].begin);
+        EXPECT_EQ(diff.ranges[r].end, expected[r].end);
+        EXPECT_EQ(diff.ranges[r].from, expected[r].from);
+        EXPECT_EQ(diff.ranges[r].to, expected[r].to);
+      }
+    }
+  }
+}
+
+TEST(ConsistentHashRing, CollidingVirtualNodesGoToTheLaterNode) {
+  // These two names reach one FNV-1a state, so each virtual node of one
+  // lands on the position of the other's with the same number.
+  const std::string a = "40dfc844696501a8";
+  const std::string b = "c572b9353e03f747";
+  ASSERT_EQ(ConsistentHashRing::key_hash(a + "#0"),
+            ConsistentHashRing::key_hash(b + "#0"));
+  for (const bool a_first : {true, false}) {
+    const std::string& first = a_first ? a : b;
+    const std::string& second = a_first ? b : a;
+    MapRing reference(4);
+    ConsistentHashRing ring(4);
+    for (const std::string& node : {std::string("n1"), first, second}) {
+      reference.add_node(node);
+      ring.add_node(node);
+    }
+    const ConsistentHashRing with_both = ring;
+    // Removing the later node drops the shared positions; the earlier node
+    // does not get them back.
+    MapRing reference_after = reference;
+    reference_after.remove_node(second);
+    ConsistentHashRing after = ring;
+    after.remove_node(second);
+    std::size_t owned_by_second = 0;
+    for (int k = 0; k < 2000; ++k) {
+      const std::string key = "key" + std::to_string(k);
+      ASSERT_EQ(ring.node_for(key), reference.node_for(key));
+      EXPECT_NE(ring.node_for(key), first);
+      if (ring.node_for(key) == second) ++owned_by_second;
+      ASSERT_EQ(after.node_for(key), reference_after.node_for(key));
+      EXPECT_EQ(after.node_for(key), "n1");
+    }
+    EXPECT_GT(owned_by_second, 0u);
+    const auto expected = MapRing::remap(reference, reference_after);
+    const RemapDiff diff = ConsistentHashRing::remap_diff(with_both, after);
+    ASSERT_EQ(diff.ranges.size(), expected.size());
+    for (std::size_t r = 0; r < expected.size(); ++r) {
+      EXPECT_EQ(diff.ranges[r].begin, expected[r].begin);
+      EXPECT_EQ(diff.ranges[r].to, "n1");
+    }
+  }
 }
 
 TEST(ConsistentHashRing, EmptyRing) {

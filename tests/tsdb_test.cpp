@@ -320,6 +320,47 @@ TEST(ChunkCodec, MutatedChunksAreRejectedOrConsistent) {
   EXPECT_GT(rejected, 100u);
 }
 
+/// Chunks in memory are read without the checksum pass: on every corpus
+/// chunk the verified cursor yields the checked cursor's samples, and both
+/// keep the header bounds.
+TEST(ChunkCodec, VerifiedCursorMatchesCheckedCursor) {
+  const auto corpus = codec_corpus();
+  ASSERT_EQ(corpus.size(), 42u);
+  for (std::size_t c = 0; c < corpus.size(); ++c) {
+    ChunkCursor checked(corpus[c]);
+    ChunkCursor verified(corpus[c], ChunkCursor::kVerified);
+    ASSERT_EQ(verified.count(), checked.count());
+    Sample a;
+    Sample b;
+    for (bool more = true; more;) {
+      more = checked.next(a);
+      ASSERT_EQ(verified.next(b), more) << "corpus " << c;
+      if (!more) break;
+      ASSERT_EQ(b.t_ms, a.t_ms) << "corpus " << c;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(b.value),
+                std::bit_cast<std::uint64_t>(a.value))
+          << "corpus " << c;
+    }
+    EXPECT_NO_THROW(checked.expect_end());
+    EXPECT_NO_THROW(verified.expect_end());
+  }
+  // A count larger than the bits could hold, a first value cut short, and
+  // bytes shorter than a checksum.
+  const std::string payload = corpus.back().substr(0, corpus.back().size() - 8);
+  std::size_t header = 0;
+  while (static_cast<unsigned char>(payload[header]) & 0x80) ++header;
+  const std::string bad[] = {
+      reseal(varint(std::uint64_t{1} << 40) + payload.substr(header + 1)),
+      reseal(varint(5) + varint(0) + "abc"),
+      "short",
+  };
+  for (const std::string& bytes : bad) {
+    EXPECT_THROW(ChunkCursor{bytes}, ChunkCorruptError);
+    EXPECT_THROW((ChunkCursor{bytes, ChunkCursor::kVerified}),
+                 ChunkCorruptError);
+  }
+}
+
 // ===========================================================================
 // Segments
 // ===========================================================================
